@@ -37,6 +37,8 @@ from .pipeline import (
     PipelineConfig,
     derive_seed,
     run_pipeline,
+    stage,
+    train_model,
 )
 from .synth import SynthSpec, write_corpus
 
@@ -187,15 +189,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     y_train = [labels[i] for i in split.train]
     kinds = MODEL_KINDS if args.model == "all" else (args.model,)
     for kind in kinds:
-        if kind == "tree":
-            model = models.train_decision_tree(
-                X_train, y_train,
-                models.TreeHyperparams(seed=derive_seed(args.seed, "tree")),
-            )
-        elif kind == "logistic":
-            model = models.train_logistic(X_train, y_train)
-        else:
-            model = models.train_linear_svm(X_train, y_train)
+        model = train_model(kind, X_train, y_train, args.seed)
         models.save_model(model, out_dir / f"model-{kind}.json", checksum)
         print(f"trained {kind} on {len(X_train)} examples -> model-{kind}.json")
     return 0
@@ -350,10 +344,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with stage(args.command):
+            return args.func(args)
     except PipelineError as exc:
         record = {
-            "stage": exc.stage or args.command,
+            "stage": exc.stage,
             "error": type(exc).__name__,
             "message": str(exc),
         }

@@ -1,9 +1,10 @@
 """Classifiers over sparse TF-IDF vectors, plus stratified splitting.
 
-All three trainers are deterministic: the linear models run full-batch
-gradient descent with Armijo backtracking from zero initialization, and
-the tree isolates its randomness in per-node feature sampling driven by
-one seed. That makes every reported number exactly reproducible.
+All three trainers are deterministic: the linear models take full-batch
+L-BFGS directions with Armijo backtracking from zero initialization and
+report whether they reached the gradient-norm tolerance, and the tree
+isolates its randomness in per-node feature sampling driven by one
+seed. That makes every reported number exactly reproducible.
 
 Objectives (summed over samples, weights penalized, bias free):
   logistic:      sum_i -log softmax(x_i W + b)[y_i]  +  ||W||^2 / (2 s)
@@ -24,6 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import (
+    ConfigError,
     DataError,
     DegenerateLabelsError,
     DivergenceError,
@@ -35,6 +37,8 @@ from .labeling import EpidemicClass
 
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 80
+LBFGS_MEMORY = 10  # (s, y) pairs kept by the L-BFGS direction
+PAIR_CURVATURE_MIN = 1e-10  # a pair with s'y <= this * y'y is skipped
 GAIN_EPSILON = 1e-12
 
 
@@ -152,41 +156,77 @@ def _descend(
     theta: np.ndarray,
     max_iter: int,
     tol: float,
-) -> tuple[np.ndarray, list[float], int]:
-    """Full-batch gradient descent with Armijo backtracking line search.
+) -> tuple[np.ndarray, list[float], int, bool, float]:
+    """L-BFGS directions with Armijo backtracking line search.
 
-    The accepted step must satisfy f(theta - t g) <= f(theta) - c t |g|^2,
-    so the recorded loss history is non-increasing by construction. Stops
-    at max_iter, at gradient norm <= tol, or when no acceptable step
-    exists (numerically converged).
+    The direction d comes from the two-loop recursion over the last
+    LBFGS_MEMORY (s, y) pairs (Liu & Nocedal 1989), scaled by s'y / y'y;
+    with no pairs it is -g / |g|, and it falls back to -g when it is not
+    a descent direction. Backtracking from t = 1 accepts the first step
+    with f(theta + t d) <= f(theta) + c t g'd, so the recorded loss
+    history is non-increasing by construction. Stops at max_iter, at
+    gradient norm <= tol, or when no acceptable step exists. Returns
+    (theta, loss history, iterations, converged, final gradient norm),
+    where converged means the gradient norm reached tol.
     """
     loss, grad = value_and_grad(theta)
     if not math.isfinite(loss):
         raise DivergenceError(f"non-finite initial loss {loss}")
     history = [loss]
-    step = 1.0
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
+    gnorm = float(np.linalg.norm(grad))
     iterations = 0
     for _ in range(max_iter):
-        gnorm_sq = float(grad @ grad)
-        if math.sqrt(gnorm_sq) <= tol:
+        if gnorm <= tol:
             break
-        step = min(step * 2.0, 1e6)
+        direction = _lbfgs_direction(grad, gnorm, pairs)
+        slope = float(grad @ direction)
+        if not slope < 0.0:
+            direction, slope = -grad, -gnorm * gnorm
+        step = 1.0
         accepted = False
         for _ in range(MAX_BACKTRACKS):
-            trial = theta - step * grad
+            trial = theta + step * direction
             trial_loss, trial_grad = value_and_grad(trial)
-            if math.isfinite(trial_loss) and trial_loss <= loss - ARMIJO_C * step * gnorm_sq:
+            if math.isfinite(trial_loss) and trial_loss <= loss + ARMIJO_C * step * slope:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             break
+        s, y = trial - theta, trial_grad - grad
+        sy = float(s @ y)
+        if sy > PAIR_CURVATURE_MIN * float(y @ y):
+            pairs.append((s, y, 1.0 / sy))
+            del pairs[:-LBFGS_MEMORY]
         theta, loss, grad = trial, trial_loss, trial_grad
+        gnorm = float(np.linalg.norm(grad))
         history.append(loss)
         iterations += 1
     if not math.isfinite(loss):
         raise DivergenceError(f"non-finite loss {loss}")
-    return theta, history, iterations
+    return theta, history, iterations, gnorm <= tol, gnorm
+
+
+def _lbfgs_direction(
+    grad: np.ndarray,
+    gnorm: float,
+    pairs: list[tuple[np.ndarray, np.ndarray, float]],
+) -> np.ndarray:
+    """-H g for the L-BFGS inverse-Hessian estimate H (two-loop recursion)."""
+    if not pairs:
+        return -grad / gnorm
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float(s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    s, y, rho = pairs[-1]
+    q *= 1.0 / (rho * float(y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(y @ q)) * s
+    return -q
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,6 +252,10 @@ class LinearModel:
     hyperparams: LinearHyperparams
     dim: int
     n_iter: int = 0
+    # gradient norm reached tol; for one-vs-rest, in every class's run
+    converged: bool = False
+    # final gradient norm; for one-vs-rest, the largest over the classes
+    final_grad_norm: float = math.inf
     # one history per optimization run: a single run for the multinomial
     # objective, one per class for one-vs-rest
     loss_histories: tuple[tuple[float, ...], ...] = field(
@@ -252,7 +296,8 @@ def train_logistic(
         return loss, np.concatenate([gw.ravel(), gb])
 
     theta0 = np.zeros(dim * n_classes + n_classes)
-    theta, history, n_iter = _descend(packed, theta0, hp.max_iter, hp.tol)
+    theta, history, n_iter, converged, gnorm = _descend(
+        packed, theta0, hp.max_iter, hp.tol)
     return LinearModel(
         kind="logistic",
         weights=theta[: dim * n_classes].reshape(dim, n_classes),
@@ -261,6 +306,8 @@ def train_logistic(
         hyperparams=hp,
         dim=dim,
         n_iter=n_iter,
+        converged=converged,
+        final_grad_norm=gnorm,
         loss_histories=(tuple(history),),
     )
 
@@ -280,6 +327,8 @@ def train_linear_svm(
     bias = np.zeros(len(class_order))
     histories: list[tuple[float, ...]] = []
     total_iter = 0
+    converged = True
+    max_gnorm = 0.0
     for c in range(len(class_order)):
         y_pm = np.where(y_idx == c, 1.0, -1.0)
 
@@ -289,13 +338,15 @@ def train_linear_svm(
             )
             return loss, np.append(gw, gb)
 
-        theta, history, n_iter = _descend(
+        theta, history, n_iter, class_converged, gnorm = _descend(
             packed, np.zeros(dim + 1), hp.max_iter, hp.tol
         )
         weights[:, c] = theta[:dim]
         bias[c] = theta[dim]
         histories.append(tuple(history))
         total_iter += n_iter
+        converged = converged and class_converged
+        max_gnorm = max(max_gnorm, gnorm)
     return LinearModel(
         kind="svm",
         weights=weights,
@@ -304,6 +355,8 @@ def train_linear_svm(
         hyperparams=hp,
         dim=dim,
         n_iter=total_iter,
+        converged=converged,
+        final_grad_norm=max_gnorm,
         loss_histories=tuple(histories),
     )
 
@@ -535,6 +588,9 @@ def save_model(
         ]
     else:
         doc["kind"] = model.kind
+        doc["n_iter"] = model.n_iter
+        doc["converged"] = model.converged
+        doc["final_grad_norm"] = model.final_grad_norm
         doc["bias"] = model.bias.tolist()
         rows = []
         for c in range(len(model.class_order)):
@@ -546,30 +602,60 @@ def save_model(
 
 
 def load_model(path: str | Path) -> tuple[LinearModel | TreeModel, str]:
-    """Load a persisted model; returns (model, expected tfidf checksum)."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported format version")
+    """Load a persisted model; returns (model, expected tfidf checksum).
+
+    Invalid JSON, a missing key, or a value of the wrong type or shape
+    raises DataError.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if doc.get("format_version") != MODEL_FORMAT_VERSION:
+            raise DataError(f"{path}: unsupported format version")
+        return _model_from_doc(doc)
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError,
+            ConfigError) as exc:
+        raise DataError(f"{path}: malformed model file: {exc!r}") from exc
+
+
+def _model_from_doc(doc: dict) -> tuple[LinearModel | TreeModel, str]:
     class_order = tuple(EpidemicClass.from_label(t) for t in doc["classes"])
-    dim = doc["dim"]
+    dim = int(doc["dim"])
     checksum = doc["tfidf_sha256"]
+    if not isinstance(checksum, str):
+        raise TypeError(f"tfidf_sha256 is {type(checksum).__name__}, not str")
     if doc["kind"] == "tree":
         hp = TreeHyperparams(**doc["hyperparams"])
         nodes = tuple(
-            TreeNode(leaf_class=n["leaf"]) if "leaf" in n else TreeNode(
-                feature=n["feature"], threshold=n["threshold"],
-                left=n["left"], right=n["right"],
+            TreeNode(leaf_class=int(n["leaf"])) if "leaf" in n else TreeNode(
+                feature=int(n["feature"]), threshold=float(n["threshold"]),
+                left=int(n["left"]), right=int(n["right"]),
             )
             for n in doc["nodes"]
         )
+        if not nodes:
+            raise ValueError("tree has no nodes")
+        # preorder ids: children follow their parent, so routing ends
+        for i, n in enumerate(nodes):
+            ok = (n.leaf_class < len(class_order) if n.is_leaf
+                  else i < n.left < len(nodes) and i < n.right < len(nodes))
+            if not ok:
+                raise ValueError(f"node {i} links outside the tree")
         return TreeModel(
             nodes=nodes, class_order=class_order, hyperparams=hp, dim=dim
         ), checksum
+    if doc["kind"] not in ("logistic", "svm"):
+        raise ValueError(f"unknown model kind {doc['kind']!r}")
     hp = LinearHyperparams(**doc["hyperparams"])
+    bias = np.array(doc["bias"], dtype=np.float64)
+    if bias.shape != (len(class_order),) or len(doc["weights"]) != len(class_order):
+        raise ValueError("bias and weights need one entry per class")
     weights = np.zeros((dim, len(class_order)))
     for c, row in enumerate(doc["weights"]):
-        weights[row["indices"], c] = row["values"]
+        weights[np.array(row["indices"], dtype=np.intp), c] = row["values"]
     return LinearModel(
-        kind=doc["kind"], weights=weights, bias=np.array(doc["bias"]),
+        kind=doc["kind"], weights=weights, bias=bias,
         class_order=class_order, hyperparams=hp, dim=dim,
+        n_iter=int(doc.get("n_iter", 0)),
+        converged=bool(doc.get("converged", False)),
+        final_grad_norm=float(doc.get("final_grad_norm", math.inf)),
     ), checksum

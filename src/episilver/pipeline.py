@@ -8,9 +8,11 @@ files are byte-identical across runs with the same configuration.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import time
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -111,14 +113,17 @@ def config_hash(config: PipelineConfig) -> str:
 
 
 @contextmanager
-def _stage(name: str):
+def stage(name: str):
+    """Tag pipeline errors with the stage name; unreadable or corrupt
+    input (I/O errors, truncated or damaged gzip streams) becomes a
+    DataError."""
     try:
         yield
     except PipelineError as exc:
         if exc.stage is None:
             exc.stage = name
         raise
-    except OSError as exc:
+    except (OSError, EOFError, zlib.error) as exc:
         raise DataError(str(exc), stage=name) from exc
 
 
@@ -133,19 +138,22 @@ class RunResult:
         return self.out_dir / "dataset.tsv"
 
 
-def _train_one(kind: str, config: PipelineConfig, X_train, y_train):
+def train_model(
+    kind: str,
+    X_train,
+    y_train,
+    master_seed: int,
+    linear: models.LinearHyperparams = models.LinearHyperparams(),
+    tree: models.TreeHyperparams = models.TreeHyperparams(),
+):
+    """Train one model kind; the tree's sampling seed derives from the
+    master seed, whatever seed `tree` carries."""
     if kind == "tree":
-        hp = models.TreeHyperparams(
-            max_depth=config.tree_max_depth,
-            seed=derive_seed(config.master_seed, "tree"),
-        )
+        hp = dataclasses.replace(tree, seed=derive_seed(master_seed, "tree"))
         return models.train_decision_tree(X_train, y_train, hp)
-    hp = models.LinearHyperparams(
-        strength=config.strength, max_iter=config.max_iter, tol=config.tol
-    )
     if kind == "logistic":
-        return models.train_logistic(X_train, y_train, hp)
-    return models.train_linear_svm(X_train, y_train, hp)
+        return models.train_logistic(X_train, y_train, linear)
+    return models.train_linear_svm(X_train, y_train, linear)
 
 
 def run_pipeline(config: PipelineConfig) -> RunResult:
@@ -169,14 +177,14 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     }
     timings = manifest["timings"]
 
-    with _stage("config"):
+    with stage("config"):
         if config.ruleset_path is None:
             ruleset: Ruleset = default_ruleset()
         else:
             ruleset = load_ruleset(config.ruleset_path)
 
     t0 = time.perf_counter()
-    with _stage("ingest"):
+    with stage("ingest"):
         docs, stats = ingest_files(
             config.inputs, config.require_lang, config.threads
         )
@@ -184,7 +192,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     timings["ingest"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    with _stage("label"):
+    with stage("label"):
         included = set(config.included_classes)
         positives: dict[EpidemicClass, list[LabeledExample]] = {
             cls: [] for cls in config.included_classes
@@ -216,7 +224,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     timings["label"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    with _stage("balance"):
+    with stage("balance"):
         n_needed = sum(len(v) for v in positives.values())
         negatives = sample_negatives(
             negative_pool, ruleset, n_needed, seeds["negatives"]
@@ -232,7 +240,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         manifest["artifacts"]["dataset"] = dataset_path.name
     timings["balance"] = time.perf_counter() - t0
 
-    with _stage("split"):
+    with stage("split"):
         labels = [ex.label for ex in dataset.examples]
         split = models.stratified_split(labels, config.ratio, seeds["split"])
         manifest["stages"]["split"] = {
@@ -242,7 +250,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         }
 
     t0 = time.perf_counter()
-    with _stage("features"):
+    with stage("features"):
         train_texts = [dataset.examples[i].text for i in split.train]
         exclude = None
         if config.mask_keywords:
@@ -274,19 +282,28 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     manifest["stages"]["eval"] = {}
     for kind in config.model_kinds:
         t0 = time.perf_counter()
-        with _stage("train"):
-            model = _train_one(kind, config, X_train, y_train)
+        with stage("train"):
+            model = train_model(
+                kind, X_train, y_train, config.master_seed,
+                models.LinearHyperparams(
+                    strength=config.strength, max_iter=config.max_iter,
+                    tol=config.tol,
+                ),
+                models.TreeHyperparams(max_depth=config.tree_max_depth),
+            )
             model_path = out_dir / f"model-{kind}.json"
             models.save_model(model, model_path, checksum)
             manifest["artifacts"][f"model-{kind}"] = model_path.name
             manifest["stages"]["models"][kind] = {
                 "classes": [c.label for c in model.class_order],
                 "iterations": getattr(model, "n_iter", None),
+                "converged": getattr(model, "converged", None),
+                "final_grad_norm": getattr(model, "final_grad_norm", None),
             }
         timings[f"train-{kind}"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        with _stage("evaluate"):
+        with stage("evaluate"):
             pred = models.predict(model, X_val)
             report = evaluation.build_report(kind, y_val, pred, class_order)
             result.reports[kind] = report
@@ -306,7 +323,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
             }
         timings[f"eval-{kind}"] = time.perf_counter() - t0
 
-    with _stage("manifest"):
+    with stage("manifest"):
         (out_dir / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
         )

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -218,6 +219,66 @@ class TestLinearSvm:
             assert all(b <= a for a, b in zip(hist, hist[1:]))
 
 
+class TestConvergence:
+    """A seeded problem that plain gradient descent leaves short of tol
+    within max_iter; the gradient norm is recomputed at the returned
+    weights rather than taken from the solver."""
+
+    HP = LinearHyperparams(max_iter=200)
+
+    @staticmethod
+    def problem():
+        rng = random.Random(5)
+        X = random_sparse(rng, 500, 80)
+        y = [EC(rng.randrange(5)) for _ in range(500)]
+        return X, y, to_csr(X)
+
+    def test_logistic_reaches_tol(self):
+        X, y, mat = self.problem()
+        model = train_logistic(X, y, self.HP)
+        index = {cls: i for i, cls in enumerate(model.class_order)}
+        y_idx = np.array([index[label] for label in y])
+        _, gw, gb = logistic_loss_grad(
+            model.weights, model.bias, mat, y_idx, self.HP.strength)
+        gnorm = math.hypot(np.linalg.norm(gw), np.linalg.norm(gb))
+        assert gnorm <= self.HP.tol
+        assert model.converged
+        assert model.final_grad_norm == pytest.approx(gnorm)
+        assert model.n_iter <= self.HP.max_iter // 2
+
+    def test_svm_reaches_tol_in_every_class(self):
+        X, y, mat = self.problem()
+        model = train_linear_svm(X, y, self.HP)
+        gnorms = []
+        for c, cls in enumerate(model.class_order):
+            y_pm = np.array([1.0 if label is cls else -1.0 for label in y])
+            _, gw, gb = squared_hinge_loss_grad(
+                model.weights[:, c], model.bias[c], mat, y_pm, self.HP.strength)
+            gnorms.append(math.hypot(np.linalg.norm(gw), gb))
+        assert max(gnorms) <= self.HP.tol
+        assert model.converged
+        assert model.final_grad_norm == pytest.approx(max(gnorms))
+        assert all(len(h) - 1 <= self.HP.max_iter // 2
+                   for h in model.loss_histories)
+
+    @pytest.mark.parametrize("train", [train_logistic, train_linear_svm])
+    def test_zero_iterations_not_converged(self, train):
+        X, y, _ = self.problem()
+        model = train(X, y, LinearHyperparams(max_iter=0))
+        assert model.n_iter == 0
+        assert not model.converged
+        assert model.final_grad_norm > model.hyperparams.tol
+
+    def test_convergence_survives_save_and_load(self, tmp_path):
+        X, y, _ = self.problem()
+        model = train_linear_svm(X, y, LinearHyperparams(max_iter=3))
+        save_model(model, tmp_path / "svm.json", "ab" * 32)
+        loaded, _ = load_model(tmp_path / "svm.json")
+        assert (loaded.n_iter, loaded.converged, loaded.final_grad_norm) == (
+            model.n_iter, model.converged, model.final_grad_norm)
+        assert not loaded.converged
+
+
 class TestDecisionTree:
     def test_entropy_of_even_binary_node(self):
         assert entropy_bits(np.array([50, 50])) == 1.0
@@ -332,6 +393,39 @@ class TestPersistence:
         assert loaded.kind == "svm"
         assert loaded.class_order == model.class_order
         assert predict(loaded, X) == predict(model, X)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: "{not json",
+        lambda doc: {k: v for k, v in doc.items() if k != "classes"},
+        lambda doc: [doc],
+        lambda doc: {**doc, "dim": "many"},
+        lambda doc: {**doc, "tfidf_sha256": 7},
+        lambda doc: {**doc, "bias": doc["bias"][:-1]},
+        lambda doc: {**doc, "weights": [{"indices": ["x"], "values": [1.0]}] * 3},
+        lambda doc: {**doc, "classes": ["plague", "mers", "ebola"]},
+    ], ids=["invalid-json", "no-classes", "not-an-object", "dim-not-int",
+            "checksum-not-str", "short-bias", "bad-indices", "unknown-class"])
+    def test_malformed_linear_file_is_data_error(self, tmp_path, edit):
+        rng = random.Random(19)
+        X = random_sparse(rng, 9, 4)
+        y = [EC(i % 3) for i in range(9)]
+        path = tmp_path / "model.json"
+        save_model(train_logistic(X, y, LinearHyperparams(max_iter=2)), path, "0" * 64)
+        doc = edit(json.loads(path.read_text()))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        with pytest.raises(DataError):
+            load_model(path)
+
+    def test_tree_with_backward_link_is_data_error(self, tmp_path):
+        X = [unit(0, 1)] * 4 + [SparseVector((), 1)] * 4
+        y = [EC.FLU] * 4 + [EC.NON_EPIDEMIC] * 4
+        path = tmp_path / "tree.json"
+        save_model(train_decision_tree(X, y), path, "0" * 64)
+        doc = json.loads(path.read_text())
+        doc["nodes"][0]["left"] = 0  # routing would never reach a leaf
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError):
+            load_model(path)
 
     def test_tree_round_trip(self, tmp_path):
         rng = random.Random(18)

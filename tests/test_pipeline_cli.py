@@ -1,7 +1,13 @@
+import gzip
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import episilver
 from episilver.cli import main
 from episilver.errors import ConfigError, DataError
 from episilver.labeling import EpidemicClass as EC
@@ -94,6 +100,37 @@ class TestRunPipeline:
         b = run_pipeline(small_config(small_corpus, tmp_path / "t4", threads=4))
         assert (a.out_dir / "dataset.tsv").read_bytes() == \
             (b.out_dir / "dataset.tsv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def default_run(small_corpus, tmp_path_factory):
+    """A `run` at the default hyperparameters, all three model kinds."""
+    out = tmp_path_factory.mktemp("default-run")
+    run_pipeline(PipelineConfig(inputs=(small_corpus,), out_dir=str(out),
+                                master_seed=99, threads=1))
+    return out
+
+
+class TestOneTrainingPath:
+    def test_train_subcommand_reproduces_run_artifacts(self, default_run, tmp_path):
+        staged = tmp_path / "staged"
+        assert main(["train", "--dataset", str(default_run / "dataset.tsv"),
+                     "--out", str(staged), "--seed", "99"]) == 0
+        for name in ["tfidf.json", "model-logistic.json", "model-svm.json",
+                     "model-tree.json"]:
+            assert (staged / name).read_bytes() == \
+                (default_run / name).read_bytes(), name
+
+    def test_manifest_records_convergence(self, default_run):
+        manifest = json.loads((default_run / "manifest.json").read_text())
+        records = manifest["stages"]["models"]
+        tol = manifest["config"]["tol"]
+        for kind in ("logistic", "svm"):
+            assert records[kind]["converged"] is True, kind
+            assert records[kind]["final_grad_norm"] <= tol, kind
+            assert 0 < records[kind]["iterations"] < 5 * manifest["config"]["max_iter"]
+        tree = records["tree"]
+        assert tree["converged"] is tree["final_grad_norm"] is tree["iterations"] is None
 
 
 class TestPipelineConfig:
@@ -209,3 +246,50 @@ class TestCli:
                      "--model-file", str(out / "model-logistic.json"),
                      "--out", str(out)])
         assert code == 3
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(small_corpus, default_run, tmp_path_factory):
+    """Damaged gzip streams, and a model file without its class list."""
+    root = tmp_path_factory.mktemp("bad-inputs")
+    compressed = gzip.compress(Path(small_corpus).read_bytes(), mtime=0)
+    (root / "truncated.jsonl.gz").write_bytes(compressed[: len(compressed) // 2])
+    corrupt = bytearray(compressed)
+    corrupt[100] ^= 0xFF  # inside the deflate stream: zlib.error on read
+    (root / "corrupt.jsonl.gz").write_bytes(bytes(corrupt))
+    model = json.loads((default_run / "model-logistic.json").read_text())
+    del model["classes"]
+    (root / "no-classes.json").write_text(json.dumps(model))
+    return {"dir": str(root), "run": str(default_run)}
+
+
+@pytest.mark.parametrize("argv, stage", [
+    (["run", "--input", "{dir}/truncated.jsonl.gz", "--out", "{dir}/o",
+      "--threads", "1"], "ingest"),
+    (["ingest", "--input", "{dir}/truncated.jsonl.gz", "--out", "{dir}/d.tsv",
+      "--threads", "1"], "ingest"),
+    (["ingest", "--input", "{dir}/corrupt.jsonl.gz", "--out", "{dir}/d.tsv",
+      "--threads", "1"], "ingest"),
+    (["ingest", "--input", "{dir}/missing.jsonl", "--out", "{dir}/d.tsv"],
+     "ingest"),
+    (["train", "--dataset", "{dir}/missing.tsv", "--out", "{dir}/o"], "train"),
+    (["eval", "--dataset", "{run}/dataset.tsv", "--tfidf", "{run}/tfidf.json",
+      "--model-file", "{dir}/no-classes.json", "--out", "{dir}/o"], "eval"),
+], ids=["run-truncated-gz", "ingest-truncated-gz", "ingest-corrupt-gz",
+        "ingest-missing-input", "train-missing-dataset",
+        "eval-model-without-classes"])
+def test_bad_input_exits_3_with_one_json_line(bad_inputs, argv, stage):
+    src = str(Path(episilver.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "episilver.cli",
+         *(arg.format(**bad_inputs) for arg in argv)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 3, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    record = json.loads(lines[0])
+    assert record["stage"] == stage
+    assert record["error"] == "DataError"
