@@ -37,6 +37,7 @@ from .labeling import (
     build_silver_dataset,
     compile_ruleset,
     default_ruleset,
+    label_documents,
     load_ruleset,
     match_classes,
     sample_negatives,
@@ -64,9 +65,9 @@ __all__ = [
     "TweetRecord", "accuracy", "assign_label", "build_report",
     "build_silver_dataset", "class_prf", "compile_ruleset", "confusion_matrix",
     "deduplicate", "default_ruleset", "filter_original", "fit_tfidf",
-    "ingest_files", "load_ruleset", "match_classes", "normalize_confusion",
-    "normalize_text", "parse_record", "predict", "render_report",
-    "run_pipeline", "sample_negatives", "stratified_split", "synth_corpus",
-    "tokenize", "train_decision_tree", "train_linear_svm", "train_logistic",
-    "transform", "weighted_f1",
+    "ingest_files", "label_documents", "load_ruleset", "match_classes",
+    "normalize_confusion", "normalize_text", "parse_record", "predict",
+    "render_report", "run_pipeline", "sample_negatives", "stratified_split",
+    "synth_corpus", "tokenize", "train_decision_tree", "train_linear_svm",
+    "train_logistic", "transform", "weighted_f1",
 ]

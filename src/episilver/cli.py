@@ -20,15 +20,10 @@ from .corpus import NormalizedDocument, ingest_files
 from .errors import ConfigError, DataError, PipelineError
 from .labeling import (
     EpidemicClass,
-    LabeledExample,
-    build_silver_dataset,
     default_ruleset,
+    label_documents,
     load_ruleset,
-    match_classes,
-    match_rules,
     read_dataset_tsv,
-    resolve_label,
-    sample_negatives,
     write_dataset_tsv,
 )
 from .pipeline import (
@@ -36,9 +31,11 @@ from .pipeline import (
     MODEL_KINDS,
     PipelineConfig,
     derive_seed,
+    fit_features,
     run_pipeline,
     stage,
     train_model,
+    write_report,
 )
 from .synth import SynthSpec, write_corpus
 
@@ -131,29 +128,15 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_label(args: argparse.Namespace) -> int:
     ruleset = _ruleset_arg(args.ruleset)
     docs = _read_docs_tsv(args.input)
-    included = set(_parse_classes(args.classes))
-    positives: dict[EpidemicClass, list[LabeledExample]] = {
-        cls: [] for cls in sorted(included)
-    }
-    pool = []
-    for doc in docs:
-        label = resolve_label(match_rules(ruleset, doc.text), args.policy)
-        if label is None:
-            if not match_classes(ruleset, doc.text):
-                pool.append(doc)
-        elif label in included:
-            positives[label].append(
-                LabeledExample(id=doc.id, text=doc.text, label=label)
-            )
-    n_needed = sum(len(v) for v in positives.values())
-    negatives = sample_negatives(
-        pool, ruleset, n_needed, derive_seed(args.seed, "negatives")
+    dataset, stats = label_documents(
+        docs, ruleset, _parse_classes(args.classes), args.policy,
+        derive_seed(args.seed, "negatives"),
     )
-    dataset = build_silver_dataset(positives, negatives)
     write_dataset_tsv(dataset, args.out)
     counts = {c.label: n for c, n in dataset.class_counts.items()}
-    summary = json.dumps({"class_counts": counts, "total": dataset.total},
-                         sort_keys=True)
+    summary = json.dumps(
+        {"class_counts": counts, "total": dataset.total, **stats}, sort_keys=True
+    )
     if args.stats:
         Path(args.stats).write_text(summary + "\n", encoding="utf-8")
     else:
@@ -178,11 +161,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_texts = [examples[i].text for i in split.train]
-    exclude = None
-    if args.mask_keywords:
-        ruleset = _ruleset_arg(args.ruleset)
-        exclude = lambda token: bool(match_classes(ruleset, token))  # noqa: E731
-    tfidf = features.fit_tfidf(train_texts, exclude=exclude)
+    tfidf = fit_features(
+        train_texts, _ruleset_arg(args.ruleset) if args.mask_keywords else None
+    )
     features.save_tfidf(tfidf, out_dir / "tfidf.json")
     checksum = features.idf_checksum(tfidf)
     X_train = [features.transform(tfidf, t) for t in train_texts]
@@ -213,14 +194,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = evaluation.build_report(kind, y_val, pred, class_order)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    name = report.model_id
-    (out_dir / f"report-{name}.tsv").write_bytes(
-        evaluation.render_report(report, "tsv"))
-    (out_dir / f"report-{name}.json").write_bytes(
-        evaluation.render_report(report, "json"))
-    (out_dir / f"confusion-{name}.csv").write_bytes(
-        evaluation.render_confusion_csv(report))
-    print(f"{name}: weighted_f1={report.weighted_f1:.4f} "
+    write_report(report, out_dir)
+    print(f"{report.model_id}: weighted_f1={report.weighted_f1:.4f} "
           f"accuracy={report.accuracy:.4f}")
     return 0
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConfigError, DataError, InputError
 from .labeling import EpidemicClass
 
 
@@ -210,9 +210,19 @@ def render_confusion_csv(report: EvalReport) -> bytes:
 
 
 def report_from_json(data: bytes | str) -> EvalReport:
-    doc = json.loads(data)
-    if doc.get("format_version") != REPORT_FORMAT_VERSION:
-        raise InputError("unsupported report format version")
+    """Parse a JSON-rendered report; invalid JSON, a missing key, a value
+    of the wrong type or an unknown class raises DataError."""
+    try:
+        doc = json.loads(data)
+        if doc.get("format_version") != REPORT_FORMAT_VERSION:
+            raise InputError("unsupported report format version")
+        return _report_from_doc(doc)
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError,
+            ConfigError) as exc:
+        raise DataError(f"malformed report: {exc!r}") from exc
+
+
+def _report_from_doc(doc: dict) -> EvalReport:
     class_order = tuple(EpidemicClass.from_label(t) for t in doc["class_order"])
     per_class = tuple(
         ClassMetrics(

@@ -161,19 +161,36 @@ def save_tfidf(model: TfIdfModel, path: str | Path) -> None:
 
 
 def load_tfidf(path: str | Path) -> TfIdfModel:
-    """Load a persisted model; idf is recomputed and checksum-verified."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format_version") != TFIDF_FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported format version")
+    """Load a persisted model; idf is recomputed and checksum-verified.
+    Invalid JSON, a missing key or a value of the wrong type or shape
+    raises DataError."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if doc.get("format_version") != TFIDF_FORMAT_VERSION:
+            raise DataError(f"{path}: unsupported format version")
+        model, checksum = _tfidf_from_doc(doc)
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise DataError(f"{path}: malformed feature model file: {exc!r}") from exc
+    if idf_checksum(model) != checksum:
+        raise DataError(f"{path}: idf checksum mismatch")
+    return model
+
+
+def _tfidf_from_doc(doc: dict) -> tuple[TfIdfModel, str]:
     vocabulary = {}
     doc_freq = np.zeros(len(doc["vocabulary"]), dtype=np.float64)
     for token, (idx, df) in doc["vocabulary"].items():
         vocabulary[token] = idx
         doc_freq[idx] = df
+    if sorted(vocabulary.values()) != list(range(len(vocabulary))):
+        raise ValueError("vocabulary indices are not 0..n-1")
     config = TokenizerConfig(
         lowercase=doc["config"]["lowercase"],
         min_token_len=doc["config"]["min_token_len"],
     )
+    if (not isinstance(config.lowercase, bool)
+            or type(config.min_token_len) is not int):
+        raise TypeError(f"bad tokenizer config {doc['config']!r}")
     model = TfIdfModel(
         vocabulary=vocabulary,
         idf=_smoothed_idf(doc["doc_count"], doc_freq),
@@ -181,6 +198,4 @@ def load_tfidf(path: str | Path) -> TfIdfModel:
         doc_count=doc["doc_count"],
         config=config,
     )
-    if idf_checksum(model) != doc["idf_sha256"]:
-        raise DataError(f"{path}: idf checksum mismatch")
-    return model
+    return model, doc["idf_sha256"]

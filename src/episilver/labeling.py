@@ -217,14 +217,22 @@ def sample_negatives(
     InsufficientNegativesError reporting the shortfall when fewer than
     n documents qualify.
     """
+    return _reservoir_negatives(
+        (doc for doc in stream if not match_rules(ruleset, doc.text)), n, seed
+    )
+
+
+def _reservoir_negatives(
+    pool: Iterable[NormalizedDocument], n: int, seed: int
+) -> list[LabeledExample]:
+    """Uniform reservoir sample of n documents of a pool already known to
+    match no rule, labeled NON_EPIDEMIC."""
     if n < 0:
         raise ConfigError(f"negative sample size {n}")
     rng = random.Random(seed)
     reservoir: list[NormalizedDocument] = []
     qualifying = 0
-    for doc in stream:
-        if match_classes(ruleset, doc.text):
-            continue
+    for doc in pool:
         if qualifying < n:
             reservoir.append(doc)
         else:
@@ -238,6 +246,42 @@ def sample_negatives(
         LabeledExample(id=d.id, text=d.text, label=EpidemicClass.NON_EPIDEMIC)
         for d in reservoir
     ]
+
+
+def label_documents(
+    docs: Iterable[NormalizedDocument],
+    ruleset: Ruleset,
+    included: Iterable[EpidemicClass],
+    policy: str = "exclude",
+    seed: int = 0,
+) -> tuple[SilverDataset, dict]:
+    """Match each document against the rules once and build the balanced
+    silver dataset from the documents that resolve to an included class
+    and as many negatives, drawn as ``sample_negatives`` draws them.
+
+    Also returns the counts ``matched`` (per resolved class),
+    ``ambiguous_excluded`` and ``unmatched``; they sum to len(docs).
+    """
+    positives: dict[EpidemicClass, list[LabeledExample]] = {c: [] for c in included}
+    pool: list[NormalizedDocument] = []
+    matched: dict[str, int] = {}
+    ambiguous = 0
+    for doc in docs:
+        rules = match_rules(ruleset, doc.text)
+        label = resolve_label(rules, policy)
+        if label is not None:
+            matched[label.label] = matched.get(label.label, 0) + 1
+            if label in positives:
+                positives[label].append(LabeledExample(doc.id, doc.text, label))
+        elif rules:
+            ambiguous += 1
+        else:
+            pool.append(doc)
+    n_needed = sum(len(v) for v in positives.values())
+    negatives = _reservoir_negatives(pool, n_needed, seed)
+    stats = {"matched": matched, "ambiguous_excluded": ambiguous,
+             "unmatched": len(pool)}
+    return build_silver_dataset(positives, negatives, seed=seed), stats
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,11 @@ from .corpus import ingest_files
 from .errors import ConfigError, DataError, PipelineError
 from .labeling import (
     EpidemicClass,
-    LabeledExample,
     Ruleset,
-    build_silver_dataset,
     default_ruleset,
+    label_documents,
     load_ruleset,
     match_rules,
-    resolve_label,
-    sample_negatives,
     write_dataset_tsv,
 )
 
@@ -115,15 +112,15 @@ def config_hash(config: PipelineConfig) -> str:
 @contextmanager
 def stage(name: str):
     """Tag pipeline errors with the stage name; unreadable or corrupt
-    input (I/O errors, truncated or damaged gzip streams) becomes a
-    DataError."""
+    input (I/O errors, truncated or damaged gzip streams, text that is
+    not valid UTF-8) becomes a DataError."""
     try:
         yield
     except PipelineError as exc:
         if exc.stage is None:
             exc.stage = name
         raise
-    except (OSError, EOFError, zlib.error) as exc:
+    except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
         raise DataError(str(exc), stage=name) from exc
 
 
@@ -154,6 +151,27 @@ def train_model(
     if kind == "logistic":
         return models.train_logistic(X_train, y_train, linear)
     return models.train_linear_svm(X_train, y_train, linear)
+
+
+def fit_features(texts, mask: Ruleset | None) -> features.TfIdfModel:
+    """Fit TF-IDF on texts; with a ruleset, every token that one of its
+    rules matches stays out of the vocabulary (``--mask-keywords``)."""
+    exclude = None
+    if mask is not None:
+        exclude = lambda token: bool(match_rules(mask, token))  # noqa: E731
+    return features.fit_tfidf(texts, exclude=exclude)
+
+
+def write_report(report: evaluation.EvalReport, out_dir: Path) -> None:
+    """Write report-<model>.tsv, report-<model>.json and
+    confusion-<model>.csv into out_dir."""
+    name = report.model_id
+    (out_dir / f"report-{name}.tsv").write_bytes(
+        evaluation.render_report(report, "tsv"))
+    (out_dir / f"report-{name}.json").write_bytes(
+        evaluation.render_report(report, "json"))
+    (out_dir / f"confusion-{name}.csv").write_bytes(
+        evaluation.render_confusion_csv(report))
 
 
 def run_pipeline(config: PipelineConfig) -> RunResult:
@@ -193,47 +211,18 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
 
     t0 = time.perf_counter()
     with stage("label"):
-        included = set(config.included_classes)
-        positives: dict[EpidemicClass, list[LabeledExample]] = {
-            cls: [] for cls in config.included_classes
-        }
-        negative_pool = []
-        matched_counts: dict[str, int] = {}
-        ambiguous = 0
-        unmatched = 0
-        for doc in docs:
-            rules = match_rules(ruleset, doc.text)
-            label = resolve_label(rules, config.policy)
-            if label is None:
-                if rules:
-                    ambiguous += 1
-                else:
-                    unmatched += 1
-                    negative_pool.append(doc)
-                continue
-            matched_counts[label.label] = matched_counts.get(label.label, 0) + 1
-            if label in included:
-                positives[label].append(
-                    LabeledExample(id=doc.id, text=doc.text, label=label)
-                )
-        manifest["stages"]["label"] = {
-            "matched": matched_counts,
-            "ambiguous_excluded": ambiguous,
-            "unmatched": unmatched,
-        }
+        dataset, manifest["stages"]["label"] = label_documents(
+            docs, ruleset, config.included_classes, config.policy,
+            seeds["negatives"],
+        )
     timings["label"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     with stage("balance"):
-        n_needed = sum(len(v) for v in positives.values())
-        negatives = sample_negatives(
-            negative_pool, ruleset, n_needed, seeds["negatives"]
-        )
-        dataset = build_silver_dataset(positives, negatives, seed=seeds["negatives"])
         manifest["stages"]["dataset"] = {
             "class_counts": {c.label: n for c, n in dataset.class_counts.items()},
             "total": dataset.total,
-            "negatives_sampled": len(negatives),
+            "negatives_sampled": dataset.class_counts[EpidemicClass.NON_EPIDEMIC],
         }
         dataset_path = out_dir / "dataset.tsv"
         write_dataset_tsv(dataset, dataset_path)
@@ -252,12 +241,9 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     t0 = time.perf_counter()
     with stage("features"):
         train_texts = [dataset.examples[i].text for i in split.train]
-        exclude = None
-        if config.mask_keywords:
-            from .labeling import match_classes
-
-            exclude = lambda token: bool(match_classes(ruleset, token))  # noqa: E731
-        tfidf = features.fit_tfidf(train_texts, exclude=exclude)
+        tfidf = fit_features(
+            train_texts, ruleset if config.mask_keywords else None
+        )
         checksum = features.idf_checksum(tfidf)
         X_train = [features.transform(tfidf, t) for t in train_texts]
         X_val = [
@@ -307,15 +293,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
             pred = models.predict(model, X_val)
             report = evaluation.build_report(kind, y_val, pred, class_order)
             result.reports[kind] = report
-            (out_dir / f"report-{kind}.tsv").write_bytes(
-                evaluation.render_report(report, "tsv")
-            )
-            (out_dir / f"report-{kind}.json").write_bytes(
-                evaluation.render_report(report, "json")
-            )
-            (out_dir / f"confusion-{kind}.csv").write_bytes(
-                evaluation.render_confusion_csv(report)
-            )
+            write_report(report, out_dir)
             manifest["artifacts"][f"report-{kind}"] = f"report-{kind}.json"
             manifest["stages"]["eval"][kind] = {
                 "weighted_f1": report.weighted_f1,

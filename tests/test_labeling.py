@@ -19,6 +19,7 @@ from episilver.labeling import (
     build_silver_dataset,
     compile_ruleset,
     default_ruleset,
+    label_documents,
     load_ruleset,
     match_classes,
     parse_ruleset_text,
@@ -189,6 +190,35 @@ class TestSampleNegatives:
         for ex in out:
             assert ex.label is EC.NON_EPIDEMIC
             assert match_classes(rs, ex.text) == set()
+
+
+class TestLabelDocuments:
+    TEXTS = ([f"plain {i}" for i in range(30)]
+             + ["flu alert", "ebola watch", "cholera again", "swine flu and ebola"])
+
+    @pytest.mark.parametrize("policy", ["exclude", "priority"])
+    def test_counts_cover_every_document(self, policy):
+        docs = _doc_stream(self.TEXTS)
+        _, stats = label_documents(docs, default_ruleset(), [EC.EBOLA, EC.FLU],
+                                   policy, seed=4)
+        ambiguous = 1 if policy == "exclude" else 0
+        assert stats["ambiguous_excluded"] == ambiguous
+        assert stats["unmatched"] == 30
+        assert sum(stats["matched"].values()) + ambiguous + 30 == len(docs)
+        assert stats["matched"]["cholera"] == 1
+
+    def test_negatives_equal_sample_negatives(self):
+        docs = _doc_stream(self.TEXTS)
+        rs = default_ruleset()
+        ds, _ = label_documents(docs, rs, [EC.EBOLA, EC.FLU], "exclude", seed=4)
+        assert ds.class_counts == {EC.EBOLA: 1, EC.FLU: 1, EC.NON_EPIDEMIC: 2}
+        assert list(ds.examples[2:]) == sample_negatives(docs, rs, 2, seed=4)
+
+    def test_insufficient_pool(self):
+        docs = _doc_stream(["flu alert", "ebola watch", "plain"])
+        with pytest.raises(InsufficientNegativesError) as exc:
+            label_documents(docs, default_ruleset(), [EC.EBOLA, EC.FLU])
+        assert exc.value.shortfall == 1
 
 
 def _examples(cls, texts):

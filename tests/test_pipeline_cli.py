@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import episilver
+from episilver import cli, labeling, pipeline
 from episilver.cli import main
 from episilver.errors import ConfigError, DataError
 from episilver.labeling import EpidemicClass as EC
@@ -121,6 +122,17 @@ class TestOneTrainingPath:
             assert (staged / name).read_bytes() == \
                 (default_run / name).read_bytes(), name
 
+    def test_eval_subcommand_reproduces_run_reports(self, default_run, tmp_path):
+        for kind in ("logistic", "svm", "tree"):
+            assert main(["eval", "--dataset", str(default_run / "dataset.tsv"),
+                         "--tfidf", str(default_run / "tfidf.json"),
+                         "--model-file", str(default_run / f"model-{kind}.json"),
+                         "--out", str(tmp_path), "--seed", "99"]) == 0
+            for name in [f"report-{kind}.tsv", f"report-{kind}.json",
+                         f"confusion-{kind}.csv"]:
+                assert (tmp_path / name).read_bytes() == \
+                    (default_run / name).read_bytes(), name
+
     def test_manifest_records_convergence(self, default_run):
         manifest = json.loads((default_run / "manifest.json").read_text())
         records = manifest["stages"]["models"]
@@ -131,6 +143,61 @@ class TestOneTrainingPath:
             assert 0 < records[kind]["iterations"] < 5 * manifest["config"]["max_iter"]
         tree = records["tree"]
         assert tree["converged"] is tree["final_grad_norm"] is tree["iterations"] is None
+
+
+@pytest.fixture(scope="module")
+def small_docs(small_corpus, tmp_path_factory):
+    """The small corpus through `ingest`: the docs TSV that `label` reads."""
+    path = tmp_path_factory.mktemp("docs") / "docs.tsv"
+    assert main(["ingest", "--input", small_corpus, "--out", str(path),
+                 "--threads", "1", "--stats", str(path.with_suffix(".json"))]) == 0
+    return path
+
+
+class TestOneLabelingPath:
+    @pytest.mark.parametrize("policy", ["exclude", "priority"])
+    def test_label_subcommand_reproduces_run_dataset(
+            self, small_corpus, small_docs, policy, tmp_path):
+        result = run_pipeline(small_config(
+            small_corpus, tmp_path / "run", policy=policy,
+            model_kinds=("logistic",)))
+        dataset = tmp_path / "dataset.tsv"
+        stats = tmp_path / "label.json"
+        assert main(["label", "--input", str(small_docs), "--out", str(dataset),
+                     "--policy", policy, "--seed", "99",
+                     "--stats", str(stats)]) == 0
+        assert dataset.read_bytes() == result.dataset_path.read_bytes()
+        manifest = result.manifest["stages"]
+        # the corpus has multi-class documents, so the policies differ
+        assert (manifest["label"]["ambiguous_excluded"] > 0) == (policy == "exclude")
+        label_stats = json.loads(stats.read_text())
+        assert {k: label_stats[k] for k in manifest["label"]} == manifest["label"]
+        assert label_stats["class_counts"] == manifest["dataset"]["class_counts"]
+        assert label_stats["total"] == manifest["dataset"]["total"]
+
+    @pytest.mark.parametrize("command", ["label", "run"])
+    def test_each_document_is_matched_once(
+            self, small_corpus, small_docs, command, tmp_path, monkeypatch):
+        real = labeling.match_rules
+        matched_texts = []
+
+        def counting(ruleset, text):
+            matched_texts.append(text)
+            return real(ruleset, text)
+
+        for module in (labeling, pipeline, cli):
+            monkeypatch.setattr(module, "match_rules", counting, raising=False)
+        argv = {
+            "label": ["label", "--input", str(small_docs),
+                      "--out", str(tmp_path / "ds.tsv"),
+                      "--stats", str(tmp_path / "label.json")],
+            "run": ["run", "--input", small_corpus, "--out", str(tmp_path / "o"),
+                    "--model", "tree", "--threads", "1"],
+        }[command]
+        assert main(argv) == 0
+        texts = [line.split("\t", 1)[1]
+                 for line in small_docs.read_text(encoding="utf-8").splitlines()[1:]]
+        assert matched_texts == texts
 
 
 class TestPipelineConfig:
@@ -250,7 +317,8 @@ class TestCli:
 
 @pytest.fixture(scope="module")
 def bad_inputs(small_corpus, default_run, tmp_path_factory):
-    """Damaged gzip streams, and a model file without its class list."""
+    """Damaged gzip streams, undecodable text, and model, feature and
+    report files that are malformed."""
     root = tmp_path_factory.mktemp("bad-inputs")
     compressed = gzip.compress(Path(small_corpus).read_bytes(), mtime=0)
     (root / "truncated.jsonl.gz").write_bytes(compressed[: len(compressed) // 2])
@@ -260,6 +328,9 @@ def bad_inputs(small_corpus, default_run, tmp_path_factory):
     model = json.loads((default_run / "model-logistic.json").read_text())
     del model["classes"]
     (root / "no-classes.json").write_text(json.dumps(model))
+    (root / "undecodable.tsv").write_bytes(b"id\ttext\n1\tplain\n2\t\xff\xfe text\n")
+    (root / "no-vocabulary.json").write_text(json.dumps({"format_version": 1}))
+    (root / "bad-report.json").write_text("{bad")
     return {"dir": str(root), "run": str(default_run)}
 
 
@@ -275,9 +346,15 @@ def bad_inputs(small_corpus, default_run, tmp_path_factory):
     (["train", "--dataset", "{dir}/missing.tsv", "--out", "{dir}/o"], "train"),
     (["eval", "--dataset", "{run}/dataset.tsv", "--tfidf", "{run}/tfidf.json",
       "--model-file", "{dir}/no-classes.json", "--out", "{dir}/o"], "eval"),
+    (["label", "--input", "{dir}/undecodable.tsv", "--out", "{dir}/ds.tsv"],
+     "label"),
+    (["eval", "--dataset", "{run}/dataset.tsv", "--tfidf", "{dir}/no-vocabulary.json",
+      "--model-file", "{run}/model-logistic.json", "--out", "{dir}/o"], "eval"),
+    (["report", "--report", "{dir}/bad-report.json"], "report"),
 ], ids=["run-truncated-gz", "ingest-truncated-gz", "ingest-corrupt-gz",
         "ingest-missing-input", "train-missing-dataset",
-        "eval-model-without-classes"])
+        "eval-model-without-classes", "label-undecodable-docs",
+        "eval-tfidf-without-vocabulary", "report-invalid-json"])
 def test_bad_input_exits_3_with_one_json_line(bad_inputs, argv, stage):
     src = str(Path(episilver.__file__).resolve().parents[1])
     proc = subprocess.run(
