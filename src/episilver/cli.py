@@ -24,6 +24,7 @@ from .labeling import (
     label_documents,
     load_ruleset,
     read_dataset_tsv,
+    read_tsv,
     write_dataset_tsv,
 )
 from .pipeline import (
@@ -77,20 +78,10 @@ def _write_docs_tsv(docs: list[NormalizedDocument], path: str) -> None:
 
 
 def _read_docs_tsv(path: str) -> list[NormalizedDocument]:
-    docs = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != DOCS_HEADER:
-            raise DataError(f"{path}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 fields")
-            docs.append(NormalizedDocument(id=parts[0], text=parts[1]))
-    return docs
+    return [
+        NormalizedDocument(id=doc_id, text=text)
+        for doc_id, text in read_tsv(path, DOCS_HEADER)
+    ]
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -166,13 +157,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     features.save_tfidf(tfidf, out_dir / "tfidf.json")
     checksum = features.idf_checksum(tfidf)
-    X_train = [features.transform(tfidf, t) for t in train_texts]
+    X_train = features.transform(tfidf, train_texts)
     y_train = [labels[i] for i in split.train]
     kinds = MODEL_KINDS if args.model == "all" else (args.model,)
     for kind in kinds:
         model = train_model(kind, X_train, y_train, args.seed)
         models.save_model(model, out_dir / f"model-{kind}.json", checksum)
-        print(f"trained {kind} on {len(X_train)} examples -> model-{kind}.json")
+        print(f"trained {kind} on {len(y_train)} examples -> model-{kind}.json")
     return 0
 
 
@@ -186,7 +177,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"model {args.model_file} was trained against a different "
             f"feature model (checksum {expected[:12]}.. != {actual[:12]}..)"
         )
-    X_val = [features.transform(tfidf, examples[i].text) for i in split.validation]
+    X_val = features.transform(tfidf, (examples[i].text for i in split.validation))
     y_val = [labels[i] for i in split.validation]
     pred = models.predict(model, X_val)
     class_order = tuple(sorted(set(labels)))
@@ -201,7 +192,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    report = evaluation.report_from_json(Path(args.report).read_bytes())
+    report = evaluation.report_from_json(
+        Path(args.report).read_bytes(), args.report)
     if args.format == "confusion":
         sys.stdout.buffer.write(evaluation.render_confusion_csv(report))
     else:

@@ -209,17 +209,20 @@ def render_confusion_csv(report: EvalReport) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def report_from_json(data: bytes | str) -> EvalReport:
+def report_from_json(data: bytes | str, origin: str = "<report>") -> EvalReport:
     """Parse a JSON-rendered report; invalid JSON, a missing key, a value
-    of the wrong type or an unknown class raises DataError."""
+    of the wrong type or an unknown class raises DataError naming
+    `origin`."""
     try:
         doc = json.loads(data)
         if doc.get("format_version") != REPORT_FORMAT_VERSION:
-            raise InputError("unsupported report format version")
+            raise InputError(f"{origin}: unsupported report format version")
         return _report_from_doc(doc)
     except (KeyError, TypeError, ValueError, IndexError, AttributeError,
             ConfigError) as exc:
-        raise DataError(f"malformed report: {exc!r}") from exc
+        raise DataError(
+            f"{origin}: malformed report: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def _report_from_doc(doc: dict) -> EvalReport:

@@ -1,15 +1,15 @@
-"""TF-IDF features: tokenizer, fitted vocabulary and sparse document vectors.
+"""TF-IDF features: tokenizer, fitted vocabulary and document vectors.
 
-idf uses the smoothed form ln((1+N)/(1+df)) + 1 and document vectors
-are L2-normalized. Vocabulary order is lexicographic so fitting is
-order-independent and shard-mergeable.
+idf uses the smoothed form ln((1+N)/(1+df)) + 1. `transform` turns a
+batch of texts into one L2-normalized CSR row each, the matrix the
+trainers and `predict` take as it is. Vocabulary order is lexicographic
+so fitting is order-independent and shard-mergeable.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable
@@ -18,6 +18,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DataError, FitError
 
@@ -41,31 +42,6 @@ def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str
     if config.lowercase:
         text = text.lower()
     return _token_pattern(config.min_token_len).findall(text)
-
-
-@dataclass(frozen=True, slots=True)
-class SparseVector:
-    """Entries strictly increasing by column index, no zero values.
-
-    Non-empty transformed vectors carry unit Euclidean norm (checked by
-    the property suite, not at construction, so deserialized and
-    hand-built vectors are representable).
-    """
-
-    entries: tuple[tuple[int, float], ...]
-    dim: int
-
-    def __post_init__(self):
-        last = -1
-        for idx, value in self.entries:
-            if idx <= last or idx >= self.dim:
-                raise ValueError(f"entry index {idx} out of order or out of range")
-            if value == 0.0:
-                raise ValueError(f"zero-valued entry at index {idx}")
-            last = idx
-
-    def norm(self) -> float:
-        return math.sqrt(sum(v * v for _, v in self.entries))
 
 
 @dataclass
@@ -116,20 +92,33 @@ def fit_tfidf(
     )
 
 
-def transform(model: TfIdfModel, text: str) -> SparseVector:
-    """Counts x idf, L2-normalized; out-of-vocabulary tokens ignored."""
-    counts: Counter[int] = Counter()
-    for token in tokenize(text, model.config):
-        idx = model.vocabulary.get(token)
-        if idx is not None:
-            counts[idx] += 1
-    if not counts:
-        return SparseVector(entries=(), dim=model.dim)
-    indices = sorted(counts)
-    values = np.array([counts[i] * model.idf[i] for i in indices])
-    values /= np.linalg.norm(values)
-    return SparseVector(
-        entries=tuple(zip(indices, values.tolist())), dim=model.dim
+def transform(model: TfIdfModel, texts: Iterable[str]) -> sparse.csr_matrix:
+    """One row per text: counts x idf in increasing column order,
+    L2-normalized; out-of-vocabulary tokens are ignored, so a text with
+    none in the vocabulary gives an empty row. Rows have no stored
+    zeros and no repeated columns."""
+    if isinstance(texts, str):
+        raise TypeError("transform takes an iterable of texts, not one str")
+    data: list[float] = []
+    indices: list[int] = []
+    indptr = [0]
+    for text in texts:
+        counts: Counter[int] = Counter()
+        for token in tokenize(text, model.config):
+            idx = model.vocabulary.get(token)
+            if idx is not None:
+                counts[idx] += 1
+        if counts:
+            columns = sorted(counts)
+            values = np.array([counts[i] * model.idf[i] for i in columns])
+            values /= np.linalg.norm(values)
+            indices.extend(columns)
+            data.extend(values.tolist())
+        indptr.append(len(indices))
+    return sparse.csr_matrix(
+        (np.array(data), np.array(indices, dtype=np.int32),
+         np.array(indptr, dtype=np.int32)),
+        shape=(len(indptr) - 1, model.dim),
     )
 
 
@@ -170,7 +159,8 @@ def load_tfidf(path: str | Path) -> TfIdfModel:
             raise DataError(f"{path}: unsupported format version")
         model, checksum = _tfidf_from_doc(doc)
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
-        raise DataError(f"{path}: malformed feature model file: {exc!r}") from exc
+        raise DataError(f"{path}: malformed feature model file: "
+                        f"{type(exc).__name__}: {exc}") from exc
     if idf_checksum(model) != checksum:
         raise DataError(f"{path}: idf checksum mismatch")
     return model

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import random
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -375,21 +375,38 @@ def write_dataset_tsv(dataset: SilverDataset, path: str | Path) -> None:
             fh.write(f"{ex.id}\t{ex.label.label}\t{ex.text}\n")
 
 
-def read_dataset_tsv(path: str | Path) -> list[LabeledExample]:
-    examples = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != DATASET_HEADER:
-            raise DataError(f"{path}: unexpected dataset header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
+def _decode_line(raw: bytes, path: str | Path, lineno: int) -> str:
+    try:
+        line = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path}:{lineno}: not valid UTF-8 at byte {exc.start} ({exc.reason})"
+        ) from None
+    return line.removesuffix("\n").removesuffix("\r")
+
+
+def read_tsv(path: str | Path, header: str) -> Iterator[list[str]]:
+    """Fields of each non-blank line of a tab-separated file that starts
+    with `header` and has as many fields on every line. Lines may end in
+    LF or CRLF. Each line is decoded on its own, so text that is not
+    UTF-8 raises a DataError naming the file and the line."""
+    n_fields = header.count("\t") + 1
+    with open(path, "rb") as fh:
+        first = _decode_line(fh.readline(), path, 1)
+        if first != header:
+            raise DataError(f"{path}: unexpected header {first[:80]!r}")
+        for lineno, raw in enumerate(fh, start=2):
+            line = _decode_line(raw, path, lineno)
             if not line:
                 continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 fields")
-            tweet_id, label, text = parts
-            examples.append(LabeledExample(
-                id=tweet_id, text=text, label=EpidemicClass.from_label(label)
-            ))
-    return examples
+            fields = line.split("\t")
+            if len(fields) != n_fields:
+                raise DataError(f"{path}:{lineno}: expected {n_fields} fields")
+            yield fields
+
+
+def read_dataset_tsv(path: str | Path) -> list[LabeledExample]:
+    return [
+        LabeledExample(id=tweet_id, text=text, label=EpidemicClass.from_label(label))
+        for tweet_id, label, text in read_tsv(path, DATASET_HEADER)
+    ]

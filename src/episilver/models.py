@@ -1,4 +1,5 @@
-"""Classifiers over sparse TF-IDF vectors, plus stratified splitting.
+"""Classifiers over the CSR rows that `features.transform` returns, taken
+as they are, plus stratified splitting.
 
 All three trainers are deterministic: the linear models take full-batch
 L-BFGS directions with Armijo backtracking from zero initialization and
@@ -32,7 +33,6 @@ from .errors import (
     ShapeError,
     StratificationError,
 )
-from .features import SparseVector
 from .labeling import EpidemicClass
 
 ARMIJO_C = 1e-4
@@ -81,28 +81,6 @@ def stratified_split(
         validation=tuple(sorted(validation)),
         ratio=ratio,
         seed=seed,
-    )
-
-
-def to_csr(vectors: Sequence[SparseVector], dim: int | None = None) -> sparse.csr_matrix:
-    """Stack sparse vectors into a CSR matrix, validating dimensions."""
-    if dim is None:
-        if not vectors:
-            raise DataError("cannot infer dimension from an empty vector list")
-        dim = vectors[0].dim
-    data: list[float] = []
-    indices: list[int] = []
-    indptr = [0]
-    for vec in vectors:
-        if vec.dim != dim:
-            raise ShapeError(f"vector dimension {vec.dim} != expected {dim}")
-        for idx, value in vec.entries:
-            indices.append(idx)
-            data.append(value)
-        indptr.append(len(indices))
-    return sparse.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
-        shape=(len(vectors), dim),
     )
 
 
@@ -272,13 +250,13 @@ def _class_setup(y: Sequence[EpidemicClass]) -> tuple[tuple[EpidemicClass, ...],
     return order, np.array([index[label] for label in y], dtype=np.intp)
 
 
-def _check_training_input(X: Sequence[SparseVector], y: Sequence[EpidemicClass]) -> None:
-    if len(X) == 0 or len(X) != len(y):
-        raise DataError(f"bad training input: {len(X)} vectors, {len(y)} labels")
+def _check_training_input(X: sparse.csr_matrix, y: Sequence[EpidemicClass]) -> None:
+    if X.shape[0] == 0 or X.shape[0] != len(y):
+        raise DataError(f"bad training input: {X.shape[0]} rows, {len(y)} labels")
 
 
 def train_logistic(
-    X: Sequence[SparseVector],
+    X: sparse.csr_matrix,
     y: Sequence[EpidemicClass],
     hyperparams: LinearHyperparams | None = None,
 ) -> LinearModel:
@@ -286,13 +264,12 @@ def train_logistic(
     hp = hyperparams or LinearHyperparams()
     _check_training_input(X, y)
     class_order, y_idx = _class_setup(y)
-    mat = to_csr(X)
-    dim, n_classes = mat.shape[1], len(class_order)
+    dim, n_classes = X.shape[1], len(class_order)
 
     def packed(theta: np.ndarray) -> tuple[float, np.ndarray]:
         w = theta[: dim * n_classes].reshape(dim, n_classes)
         b = theta[dim * n_classes:]
-        loss, gw, gb = logistic_loss_grad(w, b, mat, y_idx, hp.strength)
+        loss, gw, gb = logistic_loss_grad(w, b, X, y_idx, hp.strength)
         return loss, np.concatenate([gw.ravel(), gb])
 
     theta0 = np.zeros(dim * n_classes + n_classes)
@@ -313,7 +290,7 @@ def train_logistic(
 
 
 def train_linear_svm(
-    X: Sequence[SparseVector],
+    X: sparse.csr_matrix,
     y: Sequence[EpidemicClass],
     hyperparams: LinearHyperparams | None = None,
 ) -> LinearModel:
@@ -321,8 +298,7 @@ def train_linear_svm(
     hp = hyperparams or LinearHyperparams()
     _check_training_input(X, y)
     class_order, y_idx = _class_setup(y)
-    mat = to_csr(X)
-    dim = mat.shape[1]
+    dim = X.shape[1]
     weights = np.zeros((dim, len(class_order)))
     bias = np.zeros(len(class_order))
     histories: list[tuple[float, ...]] = []
@@ -334,7 +310,7 @@ def train_linear_svm(
 
         def packed(theta: np.ndarray) -> tuple[float, np.ndarray]:
             loss, gw, gb = squared_hinge_loss_grad(
-                theta[:dim], theta[dim], mat, y_pm, hp.strength
+                theta[:dim], theta[dim], X, y_pm, hp.strength
             )
             return loss, np.append(gw, gb)
 
@@ -460,7 +436,7 @@ def _best_threshold(
 
 
 def train_decision_tree(
-    X: Sequence[SparseVector],
+    X: sparse.csr_matrix,
     y: Sequence[EpidemicClass],
     hyperparams: TreeHyperparams | None = None,
 ) -> TreeModel:
@@ -475,7 +451,7 @@ def train_decision_tree(
     hp = hyperparams or TreeHyperparams()
     _check_training_input(X, y)
     class_order, y_idx = _class_setup(y)
-    mat = to_csr(X).tocsc()
+    mat = X.tocsc()
     dim = mat.shape[1]
     n_classes = len(class_order)
     n_features = max(1, math.isqrt(dim))
@@ -519,7 +495,7 @@ def train_decision_tree(
         )
         return node_id
 
-    build(np.arange(len(X)), 0)
+    build(np.arange(X.shape[0]), 0)
     return TreeModel(
         nodes=tuple(nodes), class_order=class_order, hyperparams=hp, dim=dim
     )
@@ -531,30 +507,34 @@ def _argmax_rows(scores: np.ndarray) -> np.ndarray:
     return scores.argmax(axis=1)
 
 
+def _check_dim(X: sparse.csr_matrix, dim: int) -> None:
+    if X.shape[1] != dim:
+        raise ShapeError(f"feature dimension {X.shape[1]} != model {dim}")
+
+
 def predict(
-    model: LinearModel | TreeModel, X: Sequence[SparseVector]
+    model: LinearModel | TreeModel, X: sparse.csr_matrix
 ) -> list[EpidemicClass]:
     """Argmax of class scores (linear) or routed leaf class (tree)."""
+    _check_dim(X, model.dim)
     if isinstance(model, TreeModel):
         return _predict_tree(model, X)
-    mat = to_csr(X, model.dim)
-    scores = mat @ model.weights + model.bias
+    scores = X @ model.weights + model.bias
     return [model.class_order[i] for i in _argmax_rows(scores)]
 
 
-def predict_proba(model: LinearModel, X: Sequence[SparseVector]) -> np.ndarray:
+def predict_proba(model: LinearModel, X: sparse.csr_matrix) -> np.ndarray:
     if model.kind != "logistic":
         raise DataError(f"probabilities undefined for model kind {model.kind!r}")
-    mat = to_csr(X, model.dim)
-    return softmax(np.asarray(mat @ model.weights + model.bias))
+    _check_dim(X, model.dim)
+    return softmax(np.asarray(X @ model.weights + model.bias))
 
 
-def _predict_tree(model: TreeModel, X: Sequence[SparseVector]) -> list[EpidemicClass]:
+def _predict_tree(model: TreeModel, X: sparse.csr_matrix) -> list[EpidemicClass]:
+    indptr, indices, data = X.indptr.tolist(), X.indices.tolist(), X.data.tolist()
     out = []
-    for vec in X:
-        if vec.dim != model.dim:
-            raise ShapeError(f"vector dimension {vec.dim} != model {model.dim}")
-        values = dict(vec.entries)
+    for start, end in zip(indptr, indptr[1:]):
+        values = dict(zip(indices[start:end], data[start:end]))
         node = model.nodes[0]
         while not node.is_leaf:
             x = values.get(node.feature, 0.0)
@@ -614,7 +594,9 @@ def load_model(path: str | Path) -> tuple[LinearModel | TreeModel, str]:
         return _model_from_doc(doc)
     except (KeyError, TypeError, ValueError, IndexError, AttributeError,
             ConfigError) as exc:
-        raise DataError(f"{path}: malformed model file: {exc!r}") from exc
+        raise DataError(
+            f"{path}: malformed model file: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def _model_from_doc(doc: dict) -> tuple[LinearModel | TreeModel, str]:

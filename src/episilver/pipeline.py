@@ -245,11 +245,9 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
             train_texts, ruleset if config.mask_keywords else None
         )
         checksum = features.idf_checksum(tfidf)
-        X_train = [features.transform(tfidf, t) for t in train_texts]
-        X_val = [
-            features.transform(tfidf, dataset.examples[i].text)
-            for i in split.validation
-        ]
+        X_train = features.transform(tfidf, train_texts)
+        X_val = features.transform(
+            tfidf, (dataset.examples[i].text for i in split.validation))
         y_train = [dataset.examples[i].label for i in split.train]
         y_val = [dataset.examples[i].label for i in split.validation]
         tfidf_path = out_dir / "tfidf.json"

@@ -9,7 +9,28 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+from scipy import sparse
+
 from episilver.labeling import EpidemicClass
+
+
+def csr_rows(rows, dim: int) -> sparse.csr_matrix:
+    """CSR matrix whose row r holds the (column, value) pairs of rows[r],
+    in the order given."""
+    data: list[float] = []
+    indices: list[int] = []
+    indptr = [0]
+    for row in rows:
+        for col, value in row:
+            indices.append(col)
+            data.append(value)
+        indptr.append(len(indices))
+    return sparse.csr_matrix(
+        (np.array(data, dtype=np.float64), np.array(indices, dtype=np.int32),
+         np.array(indptr, dtype=np.int32)),
+        shape=(len(indptr) - 1, dim),
+    )
 
 # Independent keyword table: (class, word sequences, case_sensitive).
 # Multi-word sequences match with any run of whitespace between words.

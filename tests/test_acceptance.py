@@ -30,7 +30,7 @@ from episilver.evaluation import (
     normalize_confusion,
     weighted_f1,
 )
-from episilver.features import SparseVector, fit_tfidf, transform
+from episilver.features import fit_tfidf, transform
 from episilver.labeling import EpidemicClass as EC
 from episilver.labeling import SilverDataset, default_ruleset, match_classes
 from episilver.models import (
@@ -38,13 +38,12 @@ from episilver.models import (
     logistic_loss_grad,
     softmax,
     squared_hinge_loss_grad,
-    to_csr,
     train_linear_svm,
     train_logistic,
 )
 from episilver.pipeline import PipelineConfig, run_pipeline
 from episilver.synth import SynthSpec, write_corpus
-from helpers import adversarial_strings, brute_match_classes
+from helpers import adversarial_strings, brute_match_classes, csr_rows
 from reference_scores import (
     CLASSES,
     INCONSISTENT_PR_MODELS,
@@ -147,15 +146,15 @@ def test_criterion_3_labeling_oracle():
 # criterion 4: numerical suite
 # --------------------------------------------------------------------------
 
-def _random_unit_sparse(rng: random.Random, n: int, dim: int) -> list[SparseVector]:
-    vectors = []
+def _random_unit_sparse(rng: random.Random, n: int, dim: int):
+    rows = []
     for _ in range(n):
         k = rng.randint(1, dim)
         idxs = sorted(rng.sample(range(dim), k))
         raw = [(i, rng.gauss(0.0, 1.0) or 0.3) for i in idxs]
         norm = math.sqrt(sum(v * v for _, v in raw))
-        vectors.append(SparseVector(tuple((i, v / norm) for i, v in raw), dim))
-    return vectors
+        rows.append([(i, v / norm) for i, v in raw])
+    return csr_rows(rows, dim)
 
 
 def _fd(fun, theta, h=1e-5):
@@ -182,7 +181,7 @@ def _check_logistic_gradients(rng: random.Random) -> float:
     worst = 0.0
     for _ in range(100):
         n, dim, n_classes = rng.randint(3, 10), rng.randint(2, 8), rng.randint(2, 4)
-        mat = to_csr(_random_unit_sparse(rng, n, dim))
+        mat = _random_unit_sparse(rng, n, dim)
         y = np.array([rng.randrange(n_classes) for _ in range(n)])
         W = np.array([[rng.gauss(0, 0.6) for _ in range(n_classes)]
                       for _ in range(dim)])
@@ -207,7 +206,7 @@ def _check_hinge_gradients(rng: random.Random) -> float:
     done = 0
     while done < 100:
         n, dim = rng.randint(3, 10), rng.randint(2, 8)
-        mat = to_csr(_random_unit_sparse(rng, n, dim))
+        mat = _random_unit_sparse(rng, n, dim)
         y_pm = np.array([rng.choice((-1.0, 1.0)) for _ in range(n)])
         w = np.array([rng.gauss(0, 0.8) for _ in range(dim)])
         b = rng.gauss(0, 0.8)
@@ -248,9 +247,9 @@ def _check_tfidf_norms(rng: random.Random) -> float:
         ]
         model = fit_tfidf(docs)
         query = " ".join(rng.choice(words + ["oov"]) for _ in range(rng.randint(1, 12)))
-        vec = transform(model, query)
-        if vec.entries:
-            worst = max(worst, abs(vec.norm() - 1.0))
+        vec = transform(model, [query])
+        if vec.nnz:
+            worst = max(worst, abs(math.sqrt(sum(v * v for v in vec.data)) - 1.0))
     return worst
 
 
@@ -259,7 +258,8 @@ def _check_tfidf_fixture() -> float:
     idf_flu = math.log(3 / 2) + 1  # 1.405465 to six decimals
     worst = abs(model.idf[model.vocabulary["flu"]] - idf_flu)
     worst = max(worst, abs(model.idf[model.vocabulary["cold"]] - 1.0))
-    vec = dict(transform(model, "flu flu cold").entries)
+    row = transform(model, ["flu flu cold"])
+    vec = dict(zip(row.indices.tolist(), row.data.tolist()))
     norm = math.sqrt((2 * idf_flu) ** 2 + 1.0)
     worst = max(worst, abs(vec[model.vocabulary["flu"]] - 2 * idf_flu / norm))
     worst = max(worst, abs(vec[model.vocabulary["cold"]] - 1.0 / norm))

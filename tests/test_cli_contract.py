@@ -1,0 +1,123 @@
+"""Fuzzed exit-code contract of the staged subcommands.
+
+Each example damages one input file of one subcommand (random bytes, a
+truncation of the valid file, a replaced first line, or one replaced
+byte) and calls
+`cli.main` in process. Whatever the damage, the command must return
+0, 2, 3 or 4, raise nothing, and leave at most one stderr line, which
+is a JSON error record when the exit code is nonzero. A warning counts
+as a stderr line, because a command-line run prints it there.
+"""
+
+import contextlib
+import gzip
+import io
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from episilver import cli
+from episilver.labeling import EpidemicClass as EC
+from episilver.synth import SynthSpec, write_corpus
+
+COUNTS = {EC.CHOLERA: 12, EC.EBOLA: 12, EC.NON_EPIDEMIC: 40}
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    """Valid inputs for every subcommand, produced by the subcommands."""
+    root = tmp_path_factory.mktemp("valid")
+    corpus = root / "corpus.jsonl"
+    write_corpus(SynthSpec(class_counts=COUNTS, seed=3), str(corpus))
+    (root / "corpus.jsonl.gz").write_bytes(
+        gzip.compress(corpus.read_bytes(), mtime=0))
+    steps = [
+        ["ingest", "--input", str(corpus), "--out", str(root / "docs.tsv"),
+         "--threads", "1", "--stats", str(root / "ingest.json")],
+        ["label", "--input", str(root / "docs.tsv"), "--out",
+         str(root / "dataset.tsv"), "--classes", "cholera,ebola",
+         "--stats", str(root / "label.json")],
+        ["train", "--dataset", str(root / "dataset.tsv"), "--out", str(root)],
+        ["eval", "--dataset", str(root / "dataset.tsv"), "--tfidf",
+         str(root / "tfidf.json"), "--model-file",
+         str(root / "model-logistic.json"), "--out", str(root)],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in steps:
+            assert cli.main(argv) == 0, argv
+    return root
+
+
+# target -> (valid file that gets damaged, argv); {bad} is the damaged
+# copy, {ok} the directory of valid files, {tmp} a fresh directory
+TARGETS = {
+    "ingest": ("corpus.jsonl", ["ingest", "--input", "{bad}", "--out",
+                                "{tmp}/docs.tsv", "--threads", "1"]),
+    "ingest-gz": ("corpus.jsonl.gz", ["ingest", "--input", "{bad}", "--out",
+                                      "{tmp}/docs.tsv", "--threads", "1"]),
+    "label": ("docs.tsv", ["label", "--input", "{bad}", "--out",
+                           "{tmp}/dataset.tsv", "--classes", "cholera,ebola"]),
+    "train": ("dataset.tsv", ["train", "--dataset", "{bad}", "--out", "{tmp}"]),
+    "eval-dataset": ("dataset.tsv", [
+        "eval", "--dataset", "{bad}", "--tfidf", "{ok}/tfidf.json",
+        "--model-file", "{ok}/model-tree.json", "--out", "{tmp}"]),
+    "eval-tfidf": ("tfidf.json", [
+        "eval", "--dataset", "{ok}/dataset.tsv", "--tfidf", "{bad}",
+        "--model-file", "{ok}/model-svm.json", "--out", "{tmp}"]),
+    "eval-model": ("model-logistic.json", [
+        "eval", "--dataset", "{ok}/dataset.tsv", "--tfidf", "{ok}/tfidf.json",
+        "--model-file", "{bad}", "--out", "{tmp}"]),
+    "report": ("report-logistic.json", ["report", "--report", "{bad}"]),
+}
+
+
+def damage(data: bytes, mode: str, blob: bytes, cut: int) -> bytes:
+    if mode == "bytes":
+        return blob
+    if mode == "truncate":
+        return data[: cut % (len(data) + 1)]
+    if mode == "byte":
+        i = cut % len(data)
+        return data[:i] + blob[:1] + data[i + 1:]
+    # replace the first line (the header of a TSV file)
+    newline = data.find(b"\n")
+    rest = data[newline:] if newline >= 0 else b""
+    return blob.replace(b"\n", b"") + rest
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, int]:
+    """(exit code, stderr text, warnings raised) of one in-process run."""
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+    return code, stderr.getvalue(), len(caught)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    target=st.sampled_from(sorted(TARGETS)),
+    mode=st.sampled_from(["bytes", "truncate", "header", "byte"]),
+    blob=st.binary(max_size=300),
+    cut=st.integers(min_value=0, max_value=2**31),
+)
+def test_damaged_input_keeps_exit_code_contract(valid, target, mode, blob, cut):
+    name, template = TARGETS[target]
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / name
+        bad.write_bytes(damage((valid / name).read_bytes(), mode, blob, cut))
+        argv = [a.format(bad=bad, ok=valid, tmp=tmp) for a in template]
+        code, err, n_warnings = run_cli(argv)
+    assert code in (0, 2, 3, 4), (code, err)
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) + n_warnings <= 1, (err, n_warnings)
+    if code != 0:
+        record = json.loads(lines[0])
+        assert set(record) == {"stage", "error", "message"}

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from episilver.errors import DataError, FitError
 from episilver.features import (
-    SparseVector,
     TokenizerConfig,
     fit_tfidf,
     idf_checksum,
@@ -75,14 +74,14 @@ class TestFit:
     def test_exclude_predicate_masks_tokens(self):
         model = fit_tfidf(["flu cold", "cold tea"], exclude=lambda t: t == "flu")
         assert "flu" not in model.vocabulary
-        assert transform(model, "flu").entries == ()
+        assert transform(model, ["flu"]).nnz == 0
 
 
 class TestTransform:
     def test_fixture_values(self):
         model = fit_tfidf(["flu flu cold", "cold"])
-        vec = transform(model, "flu flu cold")
-        values = dict(vec.entries)
+        vec = transform(model, ["flu flu cold"])
+        values = dict(zip(vec.indices.tolist(), vec.data.tolist()))
         idf_flu = math.log(3 / 2) + 1
         norm = math.sqrt((2 * idf_flu) ** 2 + 1.0)
         assert values[model.vocabulary["flu"]] == pytest.approx(2 * idf_flu / norm, abs=1e-12)
@@ -92,13 +91,13 @@ class TestTransform:
 
     def test_single_term(self):
         model = fit_tfidf(["flu flu cold", "cold"])
-        vec = transform(model, "cold")
-        assert vec.entries == ((0, 1.0),)
+        vec = transform(model, ["cold"])
+        assert list(zip(vec.indices.tolist(), vec.data.tolist())) == [(0, 1.0)]
 
     def test_oov_gives_empty_vector(self):
         model = fit_tfidf(["flu"])
-        vec = transform(model, "zzz")
-        assert vec.entries == () and vec.dim == 1
+        vec = transform(model, ["zzz"])
+        assert vec.nnz == 0 and vec.shape == (1, 1)
 
     @given(st.lists(
         st.lists(st.sampled_from(WORDS), min_size=1, max_size=8).map(" ".join),
@@ -106,34 +105,71 @@ class TestTransform:
     ), st.lists(st.sampled_from(WORDS + ["oovword"]), max_size=10).map(" ".join))
     def test_unit_norm_property(self, docs, query):
         model = fit_tfidf(docs)
-        vec = transform(model, query)
-        if vec.entries:
-            assert vec.norm() == pytest.approx(1.0, abs=1e-9)
-        indices = [i for i, _ in vec.entries]
+        vec = transform(model, [query])
+        if vec.nnz:
+            assert math.sqrt(sum(v * v for v in vec.data)) == pytest.approx(1.0, abs=1e-9)
+        indices = vec.indices.tolist()
         assert indices == sorted(set(indices))
-        assert all(0 <= i < vec.dim for i in indices)
+        assert all(0 <= i < vec.shape[1] for i in indices)
 
     def test_round_trip_nonzero_at_training_tokens(self):
         docs = ["flu cold cough", "tea rest", "flu tea"]
         model = fit_tfidf(docs)
         for doc in docs:
-            vec = transform(model, doc)
+            vec = transform(model, [doc])
             expected = {model.vocabulary[t] for t in set(tokenize(doc))}
-            assert {i for i, _ in vec.entries} == expected
+            assert set(vec.indices.tolist()) == expected
+
+    def test_rejects_bare_str(self):
+        model = fit_tfidf(["flu cold"])
+        with pytest.raises(TypeError):
+            transform(model, "flu cold")
 
 
-class TestSparseVector:
-    def test_rejects_unsorted_entries(self):
-        with pytest.raises(ValueError):
-            SparseVector(entries=((1, 0.5), (0, 0.5)), dim=2)
+class TestTransformRows:
+    """The CSR invariants of transform's output, checked row by row over
+    a batch that mixes ordinary, repeated-token, out-of-vocabulary and
+    empty texts."""
 
-    def test_rejects_zero_values(self):
-        with pytest.raises(ValueError):
-            SparseVector(entries=((0, 0.0),), dim=1)
+    DOCS = ["flu cold cough", "tea rest", "flu tea fever"]
+    TEXTS = ["flu flu cold", "tea rest cough flu", "", "zzz qqq",
+             "cough cough cough", "rest tea flu cold fever", "fever zzz"]
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            SparseVector(entries=((3, 1.0),), dim=2)
+    def rows(self):
+        model = fit_tfidf(self.DOCS)
+        X = transform(model, self.TEXTS)
+        assert X.shape == (len(self.TEXTS), model.dim)
+        return [
+            (X.indices[X.indptr[r]:X.indptr[r + 1]].tolist(),
+             X.data[X.indptr[r]:X.indptr[r + 1]].tolist(), X.shape[1])
+            for r in range(X.shape[0])
+        ]
+
+    def test_columns_strictly_increasing(self):
+        for columns, _, _ in self.rows():
+            assert all(a < b for a, b in zip(columns, columns[1:]))
+
+    def test_no_stored_zeros(self):
+        for _, values, _ in self.rows():
+            assert all(v != 0.0 for v in values)
+
+    def test_columns_below_dim(self):
+        for columns, _, dim in self.rows():
+            assert all(0 <= c < dim for c in columns)
+
+    def test_unit_norm_every_nonempty_row(self):
+        rows = self.rows()
+        assert any(not values for _, values, _ in rows)  # empty rows occur
+        for _, values, _ in rows:
+            if values:
+                assert math.sqrt(sum(v * v for v in values)) == pytest.approx(
+                    1.0, abs=1e-9)
+
+    def test_batch_rows_equal_single_text_rows(self):
+        model = fit_tfidf(self.DOCS)
+        batch = transform(model, self.TEXTS).toarray()
+        for r, text in enumerate(self.TEXTS):
+            assert np.array_equal(batch[r], transform(model, [text]).toarray()[0])
 
 
 class TestPersistence:
@@ -147,7 +183,8 @@ class TestPersistence:
         assert loaded.doc_count == model.doc_count
         assert loaded.config == model.config
         assert idf_checksum(loaded) == idf_checksum(model)
-        assert transform(loaded, "flu cold") == transform(model, "flu cold")
+        assert np.array_equal(transform(loaded, ["flu cold"]).toarray(),
+                              transform(model, ["flu cold"]).toarray())
 
     def test_tampered_file_fails_checksum(self, tmp_path):
         model = fit_tfidf(["flu cold", "tea"])

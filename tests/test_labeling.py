@@ -24,6 +24,7 @@ from episilver.labeling import (
     match_classes,
     parse_ruleset_text,
     read_dataset_tsv,
+    read_tsv,
     sample_negatives,
     write_dataset_tsv,
 )
@@ -284,3 +285,32 @@ class TestSilverDataset:
         path = tmp_path / "ds.tsv"
         write_dataset_tsv(ds, path)
         assert read_dataset_tsv(path) == list(ds.examples)
+
+
+class TestReadTsv:
+    """The one reader behind the docs TSV and the dataset TSV."""
+
+    def test_crlf_reads_like_lf(self, tmp_path):
+        lines = ["id\tlabel\ttext", "1\tebola\te doc", "", "2\tnon_epidemic\tn doc"]
+        lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+        lf.write_bytes("\n".join(lines).encode() + b"\n")
+        crlf.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+        assert read_dataset_tsv(crlf) == read_dataset_tsv(lf)
+        assert [ex.text for ex in read_dataset_tsv(lf)] == ["e doc", "n doc"]
+
+    def test_undecodable_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "docs.tsv"
+        path.write_bytes(b"id\ttext\n1\tplain\n2\t\xff\xfe text\n")
+        with pytest.raises(DataError, match=f"{path}:3: not valid UTF-8"):
+            list(read_tsv(path, "id\ttext"))
+
+    @pytest.mark.parametrize("content, match", [
+        (b"", "unexpected header ''"),
+        (b"id\ttext\textra\n", "unexpected header"),
+        (b"id\ttext\n1\ta\tb\n", ":2: expected 2 fields"),
+    ])
+    def test_header_and_field_count(self, tmp_path, content, match):
+        path = tmp_path / "docs.tsv"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=match):
+            list(read_tsv(path, "id\ttext"))

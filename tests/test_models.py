@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
+from scipy import sparse
 
 from episilver.errors import (
     DataError,
@@ -12,7 +13,6 @@ from episilver.errors import (
     ShapeError,
     StratificationError,
 )
-from episilver.features import SparseVector
 from episilver.labeling import EpidemicClass as EC
 from episilver.models import (
     LinearHyperparams,
@@ -26,26 +26,26 @@ from episilver.models import (
     softmax,
     squared_hinge_loss_grad,
     stratified_split,
-    to_csr,
     train_decision_tree,
     train_linear_svm,
     train_logistic,
 )
+from helpers import csr_rows
 
 
-def unit(i, dim):
-    return SparseVector(((i, 1.0),), dim)
+def unit(i):
+    return [(i, 1.0)]
 
 
 def random_sparse(rng, n, dim):
-    vectors = []
+    rows = []
     for _ in range(n):
         k = rng.randint(1, dim)
         idxs = sorted(rng.sample(range(dim), k))
         raw = [(i, rng.gauss(0.0, 1.0) or 0.3) for i in idxs]
         norm = math.sqrt(sum(v * v for _, v in raw))
-        vectors.append(SparseVector(tuple((i, v / norm) for i, v in raw), dim))
-    return vectors
+        rows.append([(i, v / norm) for i, v in raw])
+    return csr_rows(rows, dim)
 
 
 class TestStratifiedSplit:
@@ -123,7 +123,7 @@ class TestGradients:
     def test_logistic_matches_finite_differences(self):
         rng = random.Random(6)
         n, dim, n_classes = 6, 4, 3
-        mat = to_csr(random_sparse(rng, n, dim))
+        mat = random_sparse(rng, n, dim)
         y = np.array([rng.randrange(n_classes) for _ in range(n)])
         W = np.array([[rng.gauss(0, 0.5) for _ in range(n_classes)]
                       for _ in range(dim)])
@@ -145,7 +145,7 @@ class TestGradients:
         rng = random.Random(11)
         for _ in range(20):
             n, dim = rng.randint(3, 8), rng.randint(2, 6)
-            mat = to_csr(random_sparse(rng, n, dim))
+            mat = random_sparse(rng, n, dim)
             y_pm = np.array([rng.choice((-1.0, 1.0)) for _ in range(n)])
             w = np.array([rng.gauss(0, 0.8) for _ in range(dim)])
             b = rng.gauss(0, 0.8)
@@ -164,7 +164,7 @@ class TestGradients:
             assert rel <= 1e-5
 
 
-TOY_X = [unit(0, 2), unit(1, 2)]
+TOY_X = csr_rows([unit(0), unit(1)], 2)
 TOY_Y = [EC.CHOLERA, EC.EBOLA]
 
 
@@ -174,7 +174,7 @@ class TestLogistic:
         assert predict(model, TOY_X) == TOY_Y
 
     def test_zero_iterations_gives_uniform_probabilities(self):
-        X = [unit(i % 3, 3) for i in range(10)]
+        X = csr_rows([unit(i % 3) for i in range(10)], 3)
         y = [EC(i % 5) for i in range(10)]
         model = train_logistic(X, y, LinearHyperparams(max_iter=0))
         probs = predict_proba(model, X)
@@ -195,7 +195,7 @@ class TestLogistic:
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):
-            train_logistic([], [])
+            train_logistic(csr_rows([], 1), [])
 
 
 class TestLinearSvm:
@@ -204,7 +204,7 @@ class TestLinearSvm:
         assert predict(model, TOY_X) == TOY_Y
 
     def test_identical_features_collapse_to_majority(self):
-        X = [unit(0, 1)] * 5
+        X = csr_rows([unit(0)] * 5, 1)
         y = [EC.FLU, EC.FLU, EC.FLU, EC.NON_EPIDEMIC, EC.NON_EPIDEMIC]
         model = train_linear_svm(X, y)
         assert predict(model, X) == [EC.FLU] * 5
@@ -231,15 +231,15 @@ class TestConvergence:
         rng = random.Random(5)
         X = random_sparse(rng, 500, 80)
         y = [EC(rng.randrange(5)) for _ in range(500)]
-        return X, y, to_csr(X)
+        return X, y
 
     def test_logistic_reaches_tol(self):
-        X, y, mat = self.problem()
+        X, y = self.problem()
         model = train_logistic(X, y, self.HP)
         index = {cls: i for i, cls in enumerate(model.class_order)}
         y_idx = np.array([index[label] for label in y])
         _, gw, gb = logistic_loss_grad(
-            model.weights, model.bias, mat, y_idx, self.HP.strength)
+            model.weights, model.bias, X, y_idx, self.HP.strength)
         gnorm = math.hypot(np.linalg.norm(gw), np.linalg.norm(gb))
         assert gnorm <= self.HP.tol
         assert model.converged
@@ -247,13 +247,13 @@ class TestConvergence:
         assert model.n_iter <= self.HP.max_iter // 2
 
     def test_svm_reaches_tol_in_every_class(self):
-        X, y, mat = self.problem()
+        X, y = self.problem()
         model = train_linear_svm(X, y, self.HP)
         gnorms = []
         for c, cls in enumerate(model.class_order):
             y_pm = np.array([1.0 if label is cls else -1.0 for label in y])
             _, gw, gb = squared_hinge_loss_grad(
-                model.weights[:, c], model.bias[c], mat, y_pm, self.HP.strength)
+                model.weights[:, c], model.bias[c], X, y_pm, self.HP.strength)
             gnorms.append(math.hypot(np.linalg.norm(gw), gb))
         assert max(gnorms) <= self.HP.tol
         assert model.converged
@@ -263,14 +263,14 @@ class TestConvergence:
 
     @pytest.mark.parametrize("train", [train_logistic, train_linear_svm])
     def test_zero_iterations_not_converged(self, train):
-        X, y, _ = self.problem()
+        X, y = self.problem()
         model = train(X, y, LinearHyperparams(max_iter=0))
         assert model.n_iter == 0
         assert not model.converged
         assert model.final_grad_norm > model.hyperparams.tol
 
     def test_convergence_survives_save_and_load(self, tmp_path):
-        X, y, _ = self.problem()
+        X, y = self.problem()
         model = train_linear_svm(X, y, LinearHyperparams(max_iter=3))
         save_model(model, tmp_path / "svm.json", "ab" * 32)
         loaded, _ = load_model(tmp_path / "svm.json")
@@ -284,29 +284,29 @@ class TestDecisionTree:
         assert entropy_bits(np.array([50, 50])) == 1.0
 
     def test_single_feature_perfect_split(self):
-        X = [unit(0, 1)] * 4 + [SparseVector((), 1)] * 4
+        X = csr_rows([unit(0)] * 4 + [[]] * 4, 1)
         y = [EC.FLU] * 4 + [EC.NON_EPIDEMIC] * 4
         model = train_decision_tree(X, y)
         assert predict(model, X) == y
         assert len(model.nodes) == 3  # root plus two leaves
 
     def test_pure_node_yields_single_leaf(self):
-        X = [unit(0, 2), unit(1, 2)]
+        X = csr_rows([unit(0), unit(1)], 2)
         y = [EC.MERS, EC.MERS]
         with pytest.raises(DegenerateLabelsError):
             train_decision_tree(X, y)
         # pure subsets inside a real problem still stop immediately
-        X = [unit(0, 2)] * 3 + [unit(1, 2)] * 3
+        X = csr_rows([unit(0)] * 3 + [unit(1)] * 3, 2)
         y = [EC.MERS] * 3 + [EC.SARS] * 3
         model = train_decision_tree(X, y)
         leaves = [n for n in model.nodes if n.is_leaf]
         assert len(leaves) == 2
 
     def test_majority_tie_breaks_to_lowest_class_index(self):
-        X = [SparseVector((), 1)] * 4
+        X = csr_rows([[]] * 4, 1)
         y = [EC.SARS, EC.SARS, EC.EBOLA, EC.EBOLA]
         model = train_decision_tree(X, y)
-        assert predict(model, [SparseVector((), 1)]) == [EC.EBOLA]
+        assert predict(model, csr_rows([[]], 1)) == [EC.EBOLA]
 
     def test_deterministic_given_seed(self):
         rng = random.Random(9)
@@ -332,8 +332,9 @@ class TestDecisionTree:
 
         walk(0, 0)
         # every training sample routes to a leaf that agrees with each test
-        for vec in X:
-            values = dict(vec.entries)
+        for r in range(X.shape[0]):
+            row = X.getrow(r)
+            values = dict(zip(row.indices.tolist(), row.data.tolist()))
             node = model.nodes[0]
             while not node.is_leaf:
                 x = values.get(node.feature, 0.0)
@@ -357,7 +358,7 @@ class TestDecisionTree:
 
 class TestPredict:
     def test_zero_weights_tie_break_to_first_class(self):
-        X = [unit(i % 3, 3) for i in range(6)]
+        X = csr_rows([unit(i % 3) for i in range(6)], 3)
         y = [EC(i % 5) for i in range(6)]
         model = train_logistic(X, y, LinearHyperparams(max_iter=0))
         assert predict(model, X) == [model.class_order[0]] * 6
@@ -365,7 +366,7 @@ class TestPredict:
     def test_shape_error(self):
         model = train_logistic(TOY_X, TOY_Y)
         with pytest.raises(ShapeError):
-            predict(model, [unit(0, 5)])
+            predict(model, csr_rows([unit(0)], 5))
 
     @given(st.integers(0, 1000), st.sampled_from([0.5, 2.0, 8.0, 64.0]))
     def test_score_scaling_leaves_argmax_unchanged(self, seed, scale):
@@ -376,7 +377,8 @@ class TestPredict:
         scaled = train_logistic(X, y, LinearHyperparams(max_iter=10))
         scaled.weights = model.weights * scale  # powers of two: exact scaling
         scaled.bias = model.bias * scale
-        X_query = X + [SparseVector((), 4)]  # empty vector ties every score
+        # an empty row ties every score
+        X_query = sparse.vstack([X, csr_rows([[]], 4)], format="csr")
         assert predict(model, X_query) == predict(scaled, X_query)
 
 
@@ -417,7 +419,7 @@ class TestPersistence:
             load_model(path)
 
     def test_tree_with_backward_link_is_data_error(self, tmp_path):
-        X = [unit(0, 1)] * 4 + [SparseVector((), 1)] * 4
+        X = csr_rows([unit(0)] * 4 + [[]] * 4, 1)
         y = [EC.FLU] * 4 + [EC.NON_EPIDEMIC] * 4
         path = tmp_path / "tree.json"
         save_model(train_decision_tree(X, y), path, "0" * 64)

@@ -1,6 +1,7 @@
 import gzip
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -370,3 +371,19 @@ def test_bad_input_exits_3_with_one_json_line(bad_inputs, argv, stage):
     record = json.loads(lines[0])
     assert record["stage"] == stage
     assert record["error"] == "DataError"
+
+
+@pytest.mark.parametrize("loader", ["report", "tfidf", "model"])
+def test_loader_error_is_short_and_names_the_file(default_run, tmp_path, capsys, loader):
+    junk = tmp_path / "junk.bin"
+    junk.write_bytes(random.Random(7).randbytes(100_000))
+    run = {"dataset": str(default_run / "dataset.tsv"),
+           "tfidf": str(default_run / "tfidf.json"),
+           "model": str(default_run / "model-logistic.json"), loader: str(junk)}
+    argv = ["report", "--report", str(junk)] if loader == "report" else [
+        "eval", "--dataset", run["dataset"], "--tfidf", run["tfidf"],
+        "--model-file", run["model"], "--out", str(tmp_path)]
+    assert main(argv) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert len(line.encode("utf-8")) < 1024
+    assert str(junk) in json.loads(line)["message"]
