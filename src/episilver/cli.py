@@ -80,7 +80,7 @@ def _write_docs_tsv(docs: list[NormalizedDocument], path: str) -> None:
 def _read_docs_tsv(path: str) -> list[NormalizedDocument]:
     return [
         NormalizedDocument(id=doc_id, text=text)
-        for doc_id, text in read_tsv(path, DOCS_HEADER)
+        for _, (doc_id, text) in read_tsv(path, DOCS_HEADER)
     ]
 
 

@@ -10,11 +10,13 @@ from __future__ import annotations
 import gzip
 import json
 import re
+import zlib
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
-from .errors import ParseError, SchemaError
+from .errors import DataError, ParseError, SchemaError
 
 URL_PATTERN = re.compile(r"(?i)\b(?:https?://|www\.)\S+")
 
@@ -211,10 +213,16 @@ class IngestStats:
         return asdict(self)
 
 
+@contextmanager
 def _open_stream(path: str):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+    """A plain or (by its .gz suffix) gzip file, read in binary. A gzip
+    stream that is truncated, damaged or not gzip at all is a DataError
+    that names the file."""
+    with gzip.open(path, "rb") if str(path).endswith(".gz") else open(path, "rb") as fh:
+        try:
+            yield fh
+        except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
 
 def parse_file(

@@ -385,11 +385,11 @@ def _decode_line(raw: bytes, path: str | Path, lineno: int) -> str:
     return line.removesuffix("\n").removesuffix("\r")
 
 
-def read_tsv(path: str | Path, header: str) -> Iterator[list[str]]:
-    """Fields of each non-blank line of a tab-separated file that starts
-    with `header` and has as many fields on every line. Lines may end in
-    LF or CRLF. Each line is decoded on its own, so text that is not
-    UTF-8 raises a DataError naming the file and the line."""
+def read_tsv(path: str | Path, header: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank line of a tab-separated
+    file that starts with `header` and has as many fields on every line.
+    Lines may end in LF or CRLF. Each line is decoded on its own, so text
+    that is not UTF-8 raises a DataError naming the file and the line."""
     n_fields = header.count("\t") + 1
     with open(path, "rb") as fh:
         first = _decode_line(fh.readline(), path, 1)
@@ -402,11 +402,17 @@ def read_tsv(path: str | Path, header: str) -> Iterator[list[str]]:
             fields = line.split("\t")
             if len(fields) != n_fields:
                 raise DataError(f"{path}:{lineno}: expected {n_fields} fields")
-            yield fields
+            yield lineno, fields
 
 
 def read_dataset_tsv(path: str | Path) -> list[LabeledExample]:
-    return [
-        LabeledExample(id=tweet_id, text=text, label=EpidemicClass.from_label(label))
-        for tweet_id, label, text in read_tsv(path, DATASET_HEADER)
-    ]
+    """Examples of a dataset TSV; a label that names no class is a
+    DataError naming the file and the line."""
+    examples = []
+    for lineno, (tweet_id, label, text) in read_tsv(path, DATASET_HEADER):
+        try:
+            cls = EpidemicClass.from_label(label)
+        except ConfigError:
+            raise DataError(f"{path}:{lineno}: unknown class label {label!r}") from None
+        examples.append(LabeledExample(id=tweet_id, text=text, label=cls))
+    return examples

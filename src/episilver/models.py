@@ -5,7 +5,13 @@ All three trainers are deterministic: the linear models take full-batch
 L-BFGS directions with Armijo backtracking from zero initialization and
 report whether they reached the gradient-norm tolerance, and the tree
 isolates its randomness in per-node feature sampling driven by one
-seed. That makes every reported number exactly reproducible.
+seed. Their dot products do not depend on the BLAS thread count. That
+makes every reported number exactly reproducible.
+
+The tree's split search reads only the stored entries of the sampled
+CSC columns: one sort per node covers all its sampled features, with
+each feature's implicit zeros counted as one block, and `predict` routes
+all rows through the tree together, one CSC column per node.
 
 Objectives (summed over samples, weights penalized, bias free):
   logistic:      sum_i -log softmax(x_i W + b)[y_i]  +  ||W||^2 / (2 s)
@@ -112,6 +118,12 @@ def logistic_loss_grad(
     return loss, grad_w, grad_b
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Dot product of two 1-D arrays. einsum sums in one thread, so the
+    result does not depend on the BLAS thread count as `a @ b` does."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def squared_hinge_loss_grad(
     w: np.ndarray,
     b: float,
@@ -122,7 +134,7 @@ def squared_hinge_loss_grad(
     """Summed squared hinge + L2 for one binary problem (labels +-1)."""
     margins = X @ w + b
     slack = np.maximum(0.0, 1.0 - y_pm * margins)
-    loss = float(slack @ slack) + 0.5 / strength * float(w @ w)
+    loss = _dot(slack, slack) + 0.5 / strength * _dot(w, w)
     coeff = -2.0 * slack * y_pm
     grad_w = np.asarray(X.T @ coeff) + w / strength
     grad_b = float(coeff.sum())
@@ -152,13 +164,13 @@ def _descend(
         raise DivergenceError(f"non-finite initial loss {loss}")
     history = [loss]
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
-    gnorm = float(np.linalg.norm(grad))
+    gnorm = math.sqrt(_dot(grad, grad))
     iterations = 0
     for _ in range(max_iter):
         if gnorm <= tol:
             break
         direction = _lbfgs_direction(grad, gnorm, pairs)
-        slope = float(grad @ direction)
+        slope = _dot(grad, direction)
         if not slope < 0.0:
             direction, slope = -grad, -gnorm * gnorm
         step = 1.0
@@ -173,12 +185,12 @@ def _descend(
         if not accepted:
             break
         s, y = trial - theta, trial_grad - grad
-        sy = float(s @ y)
-        if sy > PAIR_CURVATURE_MIN * float(y @ y):
+        sy = _dot(s, y)
+        if sy > PAIR_CURVATURE_MIN * _dot(y, y):
             pairs.append((s, y, 1.0 / sy))
             del pairs[:-LBFGS_MEMORY]
         theta, loss, grad = trial, trial_loss, trial_grad
-        gnorm = float(np.linalg.norm(grad))
+        gnorm = math.sqrt(_dot(grad, grad))
         history.append(loss)
         iterations += 1
     if not math.isfinite(loss):
@@ -197,13 +209,13 @@ def _lbfgs_direction(
     q = grad.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
-        alpha = rho * float(s @ q)
+        alpha = rho * _dot(s, q)
         q -= alpha * y
         alphas.append(alpha)
     s, y, rho = pairs[-1]
-    q *= 1.0 / (rho * float(y @ y))
+    q *= 1.0 / (rho * _dot(y, y))
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * float(y @ q)) * s
+        q += (alpha - rho * _dot(y, q)) * s
     return -q
 
 
@@ -389,50 +401,92 @@ def _row_entropy(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=1)
 
 
-def _column_values(
-    X_csc: sparse.csc_matrix, feature: int, rows: np.ndarray
-) -> np.ndarray:
-    """Values of one feature for the given (sorted) sample rows; absent = 0."""
-    start, end = X_csc.indptr[feature], X_csc.indptr[feature + 1]
-    col_rows = X_csc.indices[start:end]
-    col_vals = X_csc.data[start:end]
-    values = np.zeros(len(rows))
-    if len(col_rows):
-        pos = np.searchsorted(rows, col_rows)
-        ok = pos < len(rows)
-        ok[ok] &= rows[pos[ok]] == col_rows[ok]
-        values[pos[ok]] = col_vals[ok]
-    return values
+def _feature_splits(
+    mat: sparse.csc_matrix,
+    features: np.ndarray,
+    rows: np.ndarray,
+    in_node: np.ndarray,
+    y_idx: np.ndarray,
+    counts: np.ndarray,
+    parent_entropy: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best (gain, threshold) of each of `features` at the node that holds
+    the sorted sample `rows`, for all features in one pass. The gain is
+    -inf where the node has a single value of the feature.
 
-
-def _best_threshold(
-    values: np.ndarray, y_node: np.ndarray, n_classes: int, parent_entropy: float
-) -> tuple[float, float] | None:
-    """Best (gain, threshold) for one feature, or None if unsplittable.
-
-    Candidate thresholds are midpoints between consecutive distinct
-    observed values. Ties keep the lowest threshold.
+    `mat` is canonical CSC; `in_node` is an all-false row mask, set for
+    the node and cleared again; `counts` are the node's class counts.
+    Only stored entries are sorted. A feature's rows with no entry form
+    one zero block, which enters the sort as one entry of value 0 that
+    carries the block's class counts: the node's minus those of the
+    feature's entries (Breiman et al. 1984). Candidate thresholds are
+    midpoints between consecutive distinct values; ties keep the lowest
+    threshold. The class counts on each side of a cut are the integers
+    that sorting the feature's dense values over the node gives, and the
+    gain expression is the same, so the floats match that search bit for
+    bit.
     """
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    sy = y_node[order]
-    cut = np.nonzero(sv[1:] != sv[:-1])[0]
-    if cut.size == 0:
-        return None
-    n = len(values)
-    one_hot = np.zeros((n, n_classes))
-    one_hot[np.arange(n), sy] = 1.0
-    cum = one_hot.cumsum(axis=0)
-    left = cum[cut]
-    right = cum[-1] - left
-    n_left = (cut + 1).astype(np.float64)
+    n, n_classes, k = len(rows), len(counts), len(features)
+    starts = mat.indptr[features]
+    lengths = mat.indptr[features + 1] - starts
+    feat = np.repeat(np.arange(k), lengths)
+    # positions of the features' entries in mat.indices, feature by feature
+    pos = np.arange(lengths.sum()) + np.repeat(
+        starts - (np.cumsum(lengths) - lengths), lengths)
+    in_node[rows] = True
+    keep = in_node[mat.indices[pos]]
+    in_node[rows] = False
+    feat, pos = feat[keep], pos[keep]
+    classes = y_idx[mat.indices[pos]]
+    stored = np.bincount(feat * n_classes + classes, minlength=k * n_classes)
+    zero_counts = counts - stored.reshape(k, n_classes)
+    blocks = np.flatnonzero(zero_counts.sum(axis=1))
+    feat = np.concatenate([feat, blocks])
+    values = np.concatenate([mat.data[pos], np.zeros(len(blocks))])
+    weights = np.zeros((len(feat), n_classes), dtype=np.int64)
+    weights[np.arange(len(classes)), classes] = 1
+    weights[len(classes):] = zero_counts[blocks]
+    order = np.lexsort((values, feat))
+    feat, values = feat[order], values[order]
+    # each feature's entries, zero block included, sum to the node's
+    # counts, so feature j's running counts start from j * counts
+    cum = weights[order].cumsum(axis=0)
+    cut = np.flatnonzero((feat[1:] == feat[:-1]) & (values[1:] != values[:-1]))
+    cut_feat = feat[cut]
+    left_counts = cum[cut] - np.outer(cut_feat, counts)
+    left = left_counts.astype(np.float64)
+    right = (counts - left_counts).astype(np.float64)
+    n_left = left_counts.sum(axis=1).astype(np.float64)
     n_right = n - n_left
     child = (n_left * _row_entropy(left, n_left)
              + n_right * _row_entropy(right, n_right)) / n
     gains = parent_entropy - child
-    best = int(np.argmax(gains))
-    threshold = (sv[cut[best]] + sv[cut[best] + 1]) / 2.0
-    return float(gains[best]), threshold
+    # cuts are in ascending value order within a feature, so a stable
+    # sort by descending gain puts each feature's first argmax first
+    by_gain = np.lexsort((-gains, cut_feat))
+    first = by_gain[np.diff(cut_feat[by_gain], prepend=-1) != 0]
+    best_gain = np.full(k, -np.inf)
+    best_gain[cut_feat[first]] = gains[first]
+    threshold = np.zeros(k)
+    threshold[cut_feat[first]] = (values[cut[first]] + values[cut[first] + 1]) / 2.0
+    return best_gain, threshold
+
+
+def _split_rows(
+    mat: sparse.csc_matrix,
+    column: np.ndarray,
+    feature: int,
+    threshold: float,
+    rows: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`rows` whose value of `feature` is <= threshold (absent counts as
+    0), and the rest. `column` is an all-zero scratch vector over the rows
+    of `mat`, left that way."""
+    entries = slice(mat.indptr[feature], mat.indptr[feature + 1])
+    column[mat.indices[entries]] = mat.data[entries]
+    mask = column[rows] <= threshold
+    column[mat.indices[entries]] = 0.0
+    return rows[mask], rows[~mask]
 
 
 def train_decision_tree(
@@ -443,19 +497,25 @@ def train_decision_tree(
     """Greedy entropy tree sampling floor(sqrt(dim)) features per node.
 
     Nodes stop at purity, at max_depth, or when no sampled split has
-    positive information gain. Leaves take the majority class, ties to
-    the lowest class index. Node ids are assigned in preorder (parent,
-    left subtree, right subtree), which also fixes the feature-sampling
-    sequence for a given seed.
+    positive information gain. Each node searches all its sampled
+    features in one sparse pass (`_feature_splits`) and takes the first,
+    in increasing feature order, whose gain beats the best so far by more
+    than GAIN_EPSILON. Rows whose value is <= the threshold go left. Leaves
+    take the majority class, ties to the lowest class index. Node ids are
+    assigned in preorder (parent, left subtree, right subtree), which also
+    fixes the feature-sampling sequence for a given seed.
     """
     hp = hyperparams or TreeHyperparams()
     _check_training_input(X, y)
     class_order, y_idx = _class_setup(y)
-    mat = X.tocsc()
+    mat = X.tocsc().astype(np.float64, copy=False)
+    mat.sum_duplicates()
     dim = mat.shape[1]
     n_classes = len(class_order)
     n_features = max(1, math.isqrt(dim))
     rng = random.Random(hp.seed)
+    in_node = np.zeros(X.shape[0], dtype=bool)
+    column = np.zeros(X.shape[0])
     nodes: list[TreeNode] = []
 
     def build(rows: np.ndarray, depth: int) -> int:
@@ -467,31 +527,24 @@ def train_decision_tree(
         if depth >= hp.max_depth or parent_entropy == 0.0 or len(rows) < 2:
             nodes[node_id] = TreeNode(leaf_class=majority)
             return node_id
-        candidates = sorted(rng.sample(range(dim), n_features))
+        candidates = np.array(sorted(rng.sample(range(dim), n_features)))
+        gains, thresholds = _feature_splits(
+            mat, candidates, rows, in_node, y_idx, counts, parent_entropy)
         best_gain = 0.0
-        best_feature = -1
-        best_threshold = 0.0
-        best_values: np.ndarray | None = None
-        for feature in candidates:
-            values = _column_values(mat, feature, rows)
-            found = _best_threshold(values, y_idx[rows], n_classes, parent_entropy)
-            if found is None:
-                continue
-            gain, threshold = found
+        best = -1
+        for j, gain in enumerate(gains.tolist()):
             if gain > best_gain + GAIN_EPSILON:
                 best_gain = gain
-                best_feature = feature
-                best_threshold = threshold
-                best_values = values
-        if best_feature < 0:
+                best = j
+        if best < 0:
             nodes[node_id] = TreeNode(leaf_class=majority)
             return node_id
-        mask = best_values <= best_threshold
-        left_id = build(rows[mask], depth + 1)
-        right_id = build(rows[~mask], depth + 1)
+        feature, threshold = int(candidates[best]), float(thresholds[best])
+        left_rows, right_rows = _split_rows(mat, column, feature, threshold, rows)
+        left_id = build(left_rows, depth + 1)
+        right_id = build(right_rows, depth + 1)
         nodes[node_id] = TreeNode(
-            feature=best_feature, threshold=best_threshold,
-            left=left_id, right=right_id,
+            feature=feature, threshold=threshold, left=left_id, right=right_id,
         )
         return node_id
 
@@ -531,16 +584,23 @@ def predict_proba(model: LinearModel, X: sparse.csr_matrix) -> np.ndarray:
 
 
 def _predict_tree(model: TreeModel, X: sparse.csr_matrix) -> list[EpidemicClass]:
-    indptr, indices, data = X.indptr.tolist(), X.indices.tolist(), X.data.tolist()
-    out = []
-    for start, end in zip(indptr, indptr[1:]):
-        values = dict(zip(indices[start:end], data[start:end]))
-        node = model.nodes[0]
-        while not node.is_leaf:
-            x = values.get(node.feature, 0.0)
-            node = model.nodes[node.left if x <= node.threshold else node.right]
-        out.append(model.class_order[node.leaf_class])
-    return out
+    """Route all rows at once: node by node in id order (children follow
+    their parent), split each node's rows on one CSC column."""
+    mat = X.tocsc()
+    column = np.zeros(mat.shape[0])
+    leaf = np.empty(mat.shape[0], dtype=np.intp)
+    arrivals: list[list[np.ndarray]] = [[] for _ in model.nodes]
+    arrivals[0].append(np.arange(mat.shape[0]))
+    for i, node in enumerate(model.nodes):
+        parts, arrivals[i] = arrivals[i], []
+        rows = np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
+        if node.is_leaf:
+            leaf[rows] = node.leaf_class
+        elif len(rows):
+            left, right = _split_rows(mat, column, node.feature, node.threshold, rows)
+            arrivals[node.left].append(left)
+            arrivals[node.right].append(right)
+    return [model.class_order[c] for c in leaf.tolist()]
 
 
 MODEL_FORMAT_VERSION = 1

@@ -1,12 +1,17 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 from scipy import sparse
 
+import episilver
 from episilver.errors import (
     DataError,
     DegenerateLabelsError,
@@ -277,6 +282,46 @@ class TestConvergence:
         assert (loaded.n_iter, loaded.converged, loaded.final_grad_norm) == (
             model.n_iter, model.converged, model.final_grad_norm)
         assert not loaded.converged
+
+
+# Trains both linear models on a problem whose solver vectors have more
+# than 10,000 entries (where OpenBLAS starts to thread dot products) and
+# prints the SHA-256 of each saved model.
+TRAIN_AND_HASH = """
+import hashlib, random, sys, tempfile
+from pathlib import Path
+from episilver.labeling import EpidemicClass as EC
+from episilver.models import save_model, train_linear_svm, train_logistic
+from helpers import csr_rows
+rng = random.Random(5)
+dim = 12_000
+rows, y = [], []
+for _ in range(400):
+    cls = rng.randrange(3)
+    cols = sorted(rng.sample(range(dim), 30))
+    rows.append([(c, rng.random() + (c % 3 == cls)) for c in cols])
+    y.append(EC(cls))
+X = csr_rows(rows, dim)
+with tempfile.TemporaryDirectory() as d:
+    for train in (train_logistic, train_linear_svm):
+        save_model(train(X, y), Path(d) / "m.json", "0" * 64)
+        print(hashlib.sha256((Path(d) / "m.json").read_bytes()).hexdigest())
+"""
+
+
+def test_linear_models_do_not_depend_on_blas_threads():
+    tests = Path(__file__).resolve().parent
+    src = Path(episilver.__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)]),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", TRAIN_AND_HASH], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.split())
+    assert len(outputs[0]) == 2
+    assert outputs[0] == outputs[1]
 
 
 class TestDecisionTree:

@@ -318,14 +318,18 @@ class TestCli:
 
 @pytest.fixture(scope="module")
 def bad_inputs(small_corpus, default_run, tmp_path_factory):
-    """Damaged gzip streams, undecodable text, and model, feature and
-    report files that are malformed."""
+    """Damaged gzip streams, undecodable text, an unknown class label, and
+    model, feature and report files that are malformed."""
     root = tmp_path_factory.mktemp("bad-inputs")
     compressed = gzip.compress(Path(small_corpus).read_bytes(), mtime=0)
     (root / "truncated.jsonl.gz").write_bytes(compressed[: len(compressed) // 2])
     corrupt = bytearray(compressed)
     corrupt[100] ^= 0xFF  # inside the deflate stream: zlib.error on read
     (root / "corrupt.jsonl.gz").write_bytes(bytes(corrupt))
+    (root / "not-gzip.jsonl.gz").write_bytes(Path(small_corpus).read_bytes())
+    lines = (default_run / "dataset.tsv").read_text(encoding="utf-8").splitlines()
+    lines[2] = "\t".join([lines[2].split("\t")[0], "plague", "a b c"])
+    (root / "bad-label.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     model = json.loads((default_run / "model-logistic.json").read_text())
     del model["classes"]
     (root / "no-classes.json").write_text(json.dumps(model))
@@ -335,28 +339,40 @@ def bad_inputs(small_corpus, default_run, tmp_path_factory):
     return {"dir": str(root), "run": str(default_run)}
 
 
-@pytest.mark.parametrize("argv, stage", [
+@pytest.mark.parametrize("argv, stage, names", [
     (["run", "--input", "{dir}/truncated.jsonl.gz", "--out", "{dir}/o",
-      "--threads", "1"], "ingest"),
+      "--threads", "1"], "ingest", "{dir}/truncated.jsonl.gz"),
     (["ingest", "--input", "{dir}/truncated.jsonl.gz", "--out", "{dir}/d.tsv",
-      "--threads", "1"], "ingest"),
+      "--threads", "1"], "ingest", "{dir}/truncated.jsonl.gz"),
     (["ingest", "--input", "{dir}/corrupt.jsonl.gz", "--out", "{dir}/d.tsv",
-      "--threads", "1"], "ingest"),
+      "--threads", "1"], "ingest", "{dir}/corrupt.jsonl.gz"),
     (["ingest", "--input", "{dir}/missing.jsonl", "--out", "{dir}/d.tsv"],
-     "ingest"),
-    (["train", "--dataset", "{dir}/missing.tsv", "--out", "{dir}/o"], "train"),
+     "ingest", "{dir}/missing.jsonl"),
+    (["train", "--dataset", "{dir}/missing.tsv", "--out", "{dir}/o"], "train",
+     "{dir}/missing.tsv"),
     (["eval", "--dataset", "{run}/dataset.tsv", "--tfidf", "{run}/tfidf.json",
-      "--model-file", "{dir}/no-classes.json", "--out", "{dir}/o"], "eval"),
+      "--model-file", "{dir}/no-classes.json", "--out", "{dir}/o"], "eval",
+     "{dir}/no-classes.json"),
     (["label", "--input", "{dir}/undecodable.tsv", "--out", "{dir}/ds.tsv"],
-     "label"),
+     "label", "{dir}/undecodable.tsv:3"),
     (["eval", "--dataset", "{run}/dataset.tsv", "--tfidf", "{dir}/no-vocabulary.json",
-      "--model-file", "{run}/model-logistic.json", "--out", "{dir}/o"], "eval"),
-    (["report", "--report", "{dir}/bad-report.json"], "report"),
+      "--model-file", "{run}/model-logistic.json", "--out", "{dir}/o"], "eval",
+     "{dir}/no-vocabulary.json"),
+    (["report", "--report", "{dir}/bad-report.json"], "report",
+     "{dir}/bad-report.json"),
+    (["ingest", "--input", "{dir}/not-gzip.jsonl.gz", "--out", "{dir}/d.tsv",
+      "--threads", "2"], "ingest", "{dir}/not-gzip.jsonl.gz"),
+    (["train", "--dataset", "{dir}/bad-label.tsv", "--out", "{dir}/o"], "train",
+     "{dir}/bad-label.tsv:3: unknown class label 'plague'"),
+    (["eval", "--dataset", "{dir}/bad-label.tsv", "--tfidf", "{run}/tfidf.json",
+      "--model-file", "{run}/model-tree.json", "--out", "{dir}/o"], "eval",
+     "{dir}/bad-label.tsv:3: unknown class label 'plague'"),
 ], ids=["run-truncated-gz", "ingest-truncated-gz", "ingest-corrupt-gz",
         "ingest-missing-input", "train-missing-dataset",
         "eval-model-without-classes", "label-undecodable-docs",
-        "eval-tfidf-without-vocabulary", "report-invalid-json"])
-def test_bad_input_exits_3_with_one_json_line(bad_inputs, argv, stage):
+        "eval-tfidf-without-vocabulary", "report-invalid-json",
+        "ingest-not-gzip", "train-unknown-label", "eval-unknown-label"])
+def test_bad_input_exits_3_with_one_json_line(bad_inputs, argv, stage, names):
     src = str(Path(episilver.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "episilver.cli",
@@ -371,6 +387,7 @@ def test_bad_input_exits_3_with_one_json_line(bad_inputs, argv, stage):
     record = json.loads(lines[0])
     assert record["stage"] == stage
     assert record["error"] == "DataError"
+    assert names.format(**bad_inputs) in record["message"]
 
 
 @pytest.mark.parametrize("loader", ["report", "tfidf", "model"])
