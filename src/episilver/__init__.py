@@ -4,58 +4,43 @@ A regex labeling heuristic turns raw tweet archives into noisily
 labeled multi-class training data; classical text classifiers train on
 TF-IDF features and are scored with per-class precision/recall/F1,
 weighted F1, accuracy and confusion matrices.
+
+The exports below load their module on first access (PEP 562), so
+``import episilver`` loads no numeric package; numpy and scipy come in
+with the first name from ``evaluation``, ``features``, ``models`` or
+``pipeline``.
 """
 
-from .corpus import (
-    NormalizedDocument,
-    TweetRecord,
-    deduplicate,
-    filter_original,
-    ingest_files,
-    normalize_text,
-    parse_record,
-)
-from .errors import ConfigError, DataError, PipelineError, TrainingError
-from .evaluation import (
-    EvalReport,
-    accuracy,
-    build_report,
-    class_prf,
-    confusion_matrix,
-    normalize_confusion,
-    render_report,
-    weighted_f1,
-)
-# Ahead of .features, which loads scipy.sparse: without a bytecode cache,
-# compiling models.py after scipy is loaded raises peak RSS by ~0.5 MB.
-from .models import (
-    DatasetSplit,
-    LinearModel,
-    TreeModel,
-    predict,
-    stratified_split,
-    train_decision_tree,
-    train_linear_svm,
-    train_logistic,
-)
-from .features import TfIdfModel, fit_tfidf, tokenize, transform
-from .labeling import (
-    EpidemicClass,
-    LabeledExample,
-    LabelRule,
-    Ruleset,
-    SilverDataset,
-    assign_label,
-    build_silver_dataset,
-    compile_ruleset,
-    default_ruleset,
-    label_documents,
-    load_ruleset,
-    match_classes,
-    sample_negatives,
-)
-from .pipeline import PipelineConfig, RunResult, run_pipeline
-from .synth import SynthSpec, synth_corpus
+import importlib
+
+_EXPORTS = {
+    "config": ("PipelineConfig",),
+    "corpus": (
+        "NormalizedDocument", "TweetRecord", "deduplicate", "filter_original",
+        "ingest_files", "normalize_text", "parse_record",
+    ),
+    "errors": ("ConfigError", "DataError", "PipelineError", "TrainingError"),
+    "evaluation": (
+        "EvalReport", "accuracy", "build_report", "class_prf",
+        "confusion_matrix", "normalize_confusion", "render_report",
+        "weighted_f1",
+    ),
+    "features": ("TfIdfModel", "fit_tfidf", "tokenize", "transform"),
+    "labeling": (
+        "EpidemicClass", "LabeledExample", "LabelRule", "Ruleset",
+        "SilverDataset", "assign_label", "build_silver_dataset",
+        "compile_ruleset", "default_ruleset", "label_documents",
+        "load_ruleset", "match_classes", "sample_negatives",
+    ),
+    "models": (
+        "DatasetSplit", "LinearModel", "TreeModel", "predict",
+        "stratified_split", "train_decision_tree", "train_linear_svm",
+        "train_logistic",
+    ),
+    "pipeline": ("RunResult", "run_pipeline"),
+    "synth": ("SynthSpec", "synth_corpus"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -73,3 +58,14 @@ __all__ = [
     "synth_corpus", "tokenize", "train_decision_tree", "train_linear_svm",
     "train_logistic", "transform", "weighted_f1",
 ]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

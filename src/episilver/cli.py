@@ -15,9 +15,13 @@ import os
 import sys
 from pathlib import Path
 
-from . import evaluation, features, models
+# Only stdlib-only modules at the top: the commands that train or score
+# import the numeric ones (numpy, scipy) when they run, so `--help`,
+# `synth`, `ingest` and `label`, and their worker processes, never load
+# them.
+from .config import DEFAULT_CLASSES, MODEL_KINDS, PipelineConfig, derive_seed
 from .corpus import NormalizedDocument, ingest_files
-from .errors import ConfigError, DataError, PipelineError
+from .errors import ConfigError, DataError, PipelineError, stage
 from .labeling import (
     EpidemicClass,
     default_ruleset,
@@ -27,18 +31,6 @@ from .labeling import (
     read_tsv,
     write_dataset_tsv,
 )
-from .pipeline import (
-    DEFAULT_CLASSES,
-    MODEL_KINDS,
-    PipelineConfig,
-    derive_seed,
-    fit_features,
-    run_pipeline,
-    stage,
-    train_model,
-    write_report,
-)
-from .synth import SynthSpec, write_corpus
 
 DOCS_HEADER = "id\ttext"
 
@@ -85,6 +77,8 @@ def _read_docs_tsv(path: str) -> list[NormalizedDocument]:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import SynthSpec, write_corpus
+
     spec = SynthSpec(
         class_counts=_parse_counts(args.counts),
         background_vocab=args.background_vocab,
@@ -121,7 +115,7 @@ def cmd_label(args: argparse.Namespace) -> int:
     docs = _read_docs_tsv(args.input)
     dataset, stats = label_documents(
         docs, ruleset, _parse_classes(args.classes), args.policy,
-        derive_seed(args.seed, "negatives"),
+        derive_seed(args.seed, "negatives"), args.threads,
     )
     write_dataset_tsv(dataset, args.out)
     counts = {c.label: n for c, n in dataset.class_counts.items()}
@@ -137,6 +131,8 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 
 def _load_split_features(args: argparse.Namespace):
+    from . import models
+
     examples = read_dataset_tsv(args.dataset)
     if not examples:
         raise DataError(f"{args.dataset}: empty dataset")
@@ -148,6 +144,9 @@ def _load_split_features(args: argparse.Namespace):
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from . import features, models
+    from .pipeline import fit_features, train_model
+
     examples, labels, split = _load_split_features(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -168,6 +167,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import evaluation, features, models
+    from .pipeline import write_report
+
     examples, labels, split = _load_split_features(args)
     tfidf = features.load_tfidf(args.tfidf)
     model, expected = models.load_model(args.model_file)
@@ -192,6 +194,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from . import evaluation
+
     report = evaluation.report_from_json(
         Path(args.report).read_bytes(), args.report)
     if args.format == "confusion":
@@ -202,6 +206,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .pipeline import run_pipeline
+
     config = PipelineConfig(
         inputs=tuple(args.input),
         out_dir=args.out,
@@ -264,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", default=default_classes)
     p.add_argument("--policy", choices=("exclude", "priority"), default="exclude")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--stats")
     p.set_defaults(func=cmd_label)
 

@@ -1,0 +1,94 @@
+"""Run configuration: the defaults, the resolved configuration of a
+`run`, its hash and the per-stage seeds.
+
+Only the standard library is needed here, so the commands that never
+train (``synth``, ``ingest``, ``label``) import no numeric package.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from dataclasses import dataclass
+from pathlib import Path
+
+from .errors import ConfigError
+from .labeling import EpidemicClass
+
+DEFAULT_CLASSES = (
+    EpidemicClass.CHOLERA,
+    EpidemicClass.EBOLA,
+    EpidemicClass.MERS,
+    EpidemicClass.SWINE_FLU,
+)
+
+MODEL_KINDS = ("logistic", "svm", "tree")
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    inputs: tuple[str, ...]
+    out_dir: str
+    ruleset_path: str | None = None
+    included_classes: tuple[EpidemicClass, ...] = DEFAULT_CLASSES
+    policy: str = "exclude"
+    ratio: float = 0.75
+    master_seed: int = 0
+    model_kinds: tuple[str, ...] = MODEL_KINDS
+    require_lang: str | None = "en"
+    mask_keywords: bool = False
+    threads: int = 1
+    max_iter: int = 1000
+    strength: float = 1.0
+    tol: float = 1e-4
+    tree_max_depth: int = 150
+
+    def __post_init__(self):
+        if not self.inputs:
+            raise ConfigError("no input paths")
+        if not 0.0 < self.ratio < 1.0:
+            raise ConfigError(f"ratio {self.ratio} outside (0, 1)")
+        if not self.included_classes:
+            raise ConfigError("included class list is empty")
+        for cls in self.included_classes:
+            if cls is EpidemicClass.NON_EPIDEMIC:
+                raise ConfigError("the non-epidemic class is always implied; "
+                                  "include only epidemic classes")
+        for kind in self.model_kinds:
+            if kind not in MODEL_KINDS:
+                raise ConfigError(f"unknown model kind {kind!r}")
+        paths = [str(Path(p)) for p in self.inputs] + [str(Path(self.out_dir))]
+        if len(set(paths)) != len(paths):
+            raise ConfigError("input and output paths must be distinct")
+        if self.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {self.threads}")
+
+    def as_dict(self) -> dict:
+        return {
+            "inputs": list(self.inputs),
+            "out_dir": self.out_dir,
+            "ruleset_path": self.ruleset_path,
+            "included_classes": [c.label for c in self.included_classes],
+            "policy": self.policy,
+            "ratio": self.ratio,
+            "master_seed": self.master_seed,
+            "model_kinds": list(self.model_kinds),
+            "require_lang": self.require_lang,
+            "mask_keywords": self.mask_keywords,
+            "threads": self.threads,
+            "max_iter": self.max_iter,
+            "strength": self.strength,
+            "tol": self.tol,
+            "tree_max_depth": self.tree_max_depth,
+        }
+
+
+def derive_seed(master: int, stage: str) -> int:
+    """Stable per-stage seed from the master seed."""
+    digest = hashlib.sha256(f"{master}:{stage}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def config_hash(config: PipelineConfig) -> str:
+    canonical = json.dumps(config.as_dict(), sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -6,6 +6,10 @@ A failing stage tags the exception with its stage name so the CLI can
 emit a machine-readable error record.
 """
 
+import copyreg
+import zlib
+from contextlib import contextmanager
+
 
 class PipelineError(Exception):
     exit_code = 1
@@ -13,6 +17,12 @@ class PipelineError(Exception):
     def __init__(self, message: str, *, stage: str | None = None):
         super().__init__(message)
         self.stage = stage
+
+    def __reduce__(self):
+        # Rebuilt from its args and attributes without calling __init__,
+        # whose parameters differ by subclass, so an error raised in a
+        # worker process reaches the parent as itself.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ConfigError(PipelineError):
@@ -86,3 +96,18 @@ class StratificationError(DataError):
 
 class InputError(DataError):
     """Invalid metric input: length mismatch, unknown label, bad format."""
+
+
+@contextmanager
+def stage(name: str):
+    """Tag pipeline errors with the stage name; unreadable or corrupt
+    input (I/O errors, truncated or damaged gzip streams, text that is
+    not valid UTF-8) becomes a DataError."""
+    try:
+        yield
+    except PipelineError as exc:
+        if exc.stage is None:
+            exc.stage = name
+        raise
+    except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
+        raise DataError(str(exc), stage=name) from exc

@@ -14,7 +14,9 @@ import random
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 from .corpus import NormalizedDocument
@@ -26,8 +28,13 @@ from .errors import (
     InsufficientNegativesError,
     PatternError,
 )
+from .workers import ordered_map
 
 DEFAULT_RULES_RESOURCE = "default_rules.tsv"
+
+# Texts per labeling task: a few dozen tasks for a 100k-document corpus,
+# so two workers stay evenly loaded while each task pickles in one piece.
+LABEL_CHUNK = 4096
 
 
 class EpidemicClass(enum.IntEnum):
@@ -248,26 +255,43 @@ def _reservoir_negatives(
     ]
 
 
+def _match_chunk(ruleset: Ruleset, texts: Sequence[str]) -> list[tuple[int, ...]]:
+    """For each text, the positions in ``ruleset.rules`` of the rules it
+    matches; small integers are what a worker process sends back."""
+    position = {rule: i for i, rule in enumerate(ruleset.rules)}
+    return [tuple(position[r] for r in match_rules(ruleset, t)) for t in texts]
+
+
 def label_documents(
     docs: Iterable[NormalizedDocument],
     ruleset: Ruleset,
     included: Iterable[EpidemicClass],
     policy: str = "exclude",
     seed: int = 0,
+    threads: int = 1,
 ) -> tuple[SilverDataset, dict]:
     """Match each document against the rules once and build the balanced
     silver dataset from the documents that resolve to an included class
     and as many negatives, drawn as ``sample_negatives`` draws them.
 
+    With threads > 1, that many worker processes match chunks of
+    LABEL_CHUNK texts; resolving, counting and sampling stay here, in
+    document order, so the result does not depend on the count.
+
     Also returns the counts ``matched`` (per resolved class),
     ``ambiguous_excluded`` and ``unmatched``; they sum to len(docs).
     """
+    docs = list(docs)
+    texts = [doc.text for doc in docs]
+    chunks = [texts[i:i + LABEL_CHUNK] for i in range(0, len(texts), LABEL_CHUNK)]
+    hits = chain.from_iterable(
+        ordered_map(partial(_match_chunk, ruleset), chunks, threads))
     positives: dict[EpidemicClass, list[LabeledExample]] = {c: [] for c in included}
     pool: list[NormalizedDocument] = []
     matched: dict[str, int] = {}
     ambiguous = 0
-    for doc in docs:
-        rules = match_rules(ruleset, doc.text)
+    for doc, positions in zip(docs, hits):
+        rules = tuple(ruleset.rules[i] for i in positions)
         label = resolve_label(rules, policy)
         if label is not None:
             matched[label.label] = matched.get(label.label, 0) + 1

@@ -1,0 +1,36 @@
+"""One ordered map over worker processes, shared by the stages that need
+only the standard library: ingest (a task per file) and labeling (a task
+per chunk of texts)."""
+
+from __future__ import annotations
+
+from collections.abc import Callable, Sequence
+
+from .errors import ConfigError
+
+
+def ordered_map(fn: Callable, tasks: Sequence, processes: int) -> list:
+    """``[fn(task) for task in tasks]``, computed by min(processes,
+    len(tasks)) worker processes and returned in task order.
+
+    With one process or one task the work runs in this process and no
+    pool starts. Workers are spawned, never forked, so a parent that has
+    started BLAS threads is safe; a library caller that asks for more than
+    one process needs the ``if __name__ == "__main__":`` guard. fn and the
+    tasks must pickle, and an exception raised by fn reaches the caller as
+    itself.
+    """
+    if processes < 1:
+        raise ConfigError(f"threads must be >= 1, got {processes}")
+    n = min(processes, len(tasks))
+    if n <= 1:
+        return [fn(task) for task in tasks]
+    # Imported here, so that a run that starts no pool does not pay for them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        return list(pool.map(fn, tasks))
+    finally:
+        pool.shutdown(cancel_futures=True)

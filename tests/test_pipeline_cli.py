@@ -31,6 +31,20 @@ def small_corpus(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def large_corpus(small_corpus, tmp_path_factory):
+    """The small corpus plus a file of background documents: two files and
+    more documents than one labeling task holds, so that threads > 1 runs
+    both ingest and labeling in worker processes."""
+    path = tmp_path_factory.mktemp("corpus") / "background.jsonl"
+    spec = SynthSpec(
+        class_counts={EC.CHOLERA: 20, EC.NON_EPIDEMIC: labeling.LABEL_CHUNK + 500},
+        seed=24,
+    )
+    write_corpus(spec, str(path))
+    return (small_corpus, str(path))
+
+
 def small_config(corpus, out_dir, **overrides):
     defaults = dict(
         inputs=(corpus,), out_dir=str(out_dir), master_seed=99,
@@ -97,11 +111,18 @@ class TestRunPipeline:
         for token in ["cholera", "ebola", "mers", "swineflu", "flu"]:
             assert token not in vocab
 
-    def test_threads_do_not_change_results(self, small_corpus, tmp_path):
-        a = run_pipeline(small_config(small_corpus, tmp_path / "t1", threads=1))
-        b = run_pipeline(small_config(small_corpus, tmp_path / "t4", threads=4))
+    def test_threads_do_not_change_results(self, large_corpus, tmp_path):
+        a, b = (
+            run_pipeline(small_config(
+                large_corpus[0], tmp_path / f"t{threads}", inputs=large_corpus,
+                threads=threads))
+            for threads in (1, 4)
+        )
+        assert a.manifest["stages"]["ingest"]["documents"] > labeling.LABEL_CHUNK
         assert (a.out_dir / "dataset.tsv").read_bytes() == \
             (b.out_dir / "dataset.tsv").read_bytes()
+        for name in ("ingest", "label"):
+            assert a.manifest["stages"][name] == b.manifest["stages"][name], name
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +174,35 @@ def small_docs(small_corpus, tmp_path_factory):
     assert main(["ingest", "--input", small_corpus, "--out", str(path),
                  "--threads", "1", "--stats", str(path.with_suffix(".json"))]) == 0
     return path
+
+
+class TestWorkerProcesses:
+    """`--threads N` runs ingest and labeling in N worker processes; the
+    outputs must be the bytes that one process writes."""
+
+    def test_ingest_does_not_depend_on_threads(self, large_corpus, tmp_path):
+        outputs = {}
+        for threads in ("1", "2"):
+            docs, stats = tmp_path / f"docs-{threads}.tsv", tmp_path / f"{threads}.json"
+            assert main(["ingest", "--input", *large_corpus, "--out", str(docs),
+                         "--threads", threads, "--stats", str(stats)]) == 0
+            outputs[threads] = (docs.read_bytes(), stats.read_bytes())
+        assert outputs["1"] == outputs["2"]
+
+    def test_label_does_not_depend_on_threads(self, large_corpus, tmp_path):
+        docs = tmp_path / "docs.tsv"
+        assert main(["ingest", "--input", *large_corpus, "--out", str(docs),
+                     "--threads", "1"]) == 0
+        assert len(docs.read_text(encoding="utf-8").splitlines()) - 1 \
+            > labeling.LABEL_CHUNK
+        outputs = {}
+        for threads in ("1", "2"):
+            dataset, stats = tmp_path / f"ds-{threads}.tsv", tmp_path / f"{threads}.json"
+            assert main(["label", "--input", str(docs), "--out", str(dataset),
+                         "--seed", "5", "--threads", threads,
+                         "--stats", str(stats)]) == 0
+            outputs[threads] = (dataset.read_bytes(), stats.read_bytes())
+        assert outputs["1"] == outputs["2"]
 
 
 class TestOneLabelingPath:
@@ -278,6 +328,21 @@ class TestCli:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["ingest", "label"])
+    def test_threads_below_one_exit_2(
+            self, small_corpus, small_docs, tmp_path, capsys, command, threads):
+        source = small_corpus if command == "ingest" else str(small_docs)
+        out = tmp_path / "out.tsv"
+        code = main([command, "--input", source, "--out", str(out),
+                     "--threads", threads])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert (record["stage"], record["error"]) == (command, "ConfigError")
+        assert f"got {threads}" in record["message"]
+        assert not out.exists()
+
     def test_bad_ratio_exits_2(self, small_corpus, tmp_path, capsys):
         code = main(["run", "--input", small_corpus,
                      "--out", str(tmp_path / "o"), "--ratio", "2.0"])
@@ -321,6 +386,7 @@ def bad_inputs(small_corpus, default_run, tmp_path_factory):
     """Damaged gzip streams, undecodable text, an unknown class label, and
     model, feature and report files that are malformed."""
     root = tmp_path_factory.mktemp("bad-inputs")
+    (root / "good.jsonl").write_bytes(Path(small_corpus).read_bytes())
     compressed = gzip.compress(Path(small_corpus).read_bytes(), mtime=0)
     (root / "truncated.jsonl.gz").write_bytes(compressed[: len(compressed) // 2])
     corrupt = bytearray(compressed)
@@ -367,11 +433,17 @@ def bad_inputs(small_corpus, default_run, tmp_path_factory):
     (["eval", "--dataset", "{dir}/bad-label.tsv", "--tfidf", "{run}/tfidf.json",
       "--model-file", "{run}/model-tree.json", "--out", "{dir}/o"], "eval",
      "{dir}/bad-label.tsv:3: unknown class label 'plague'"),
+    (["ingest", "--input", "{dir}/good.jsonl", "{dir}/truncated.jsonl.gz",
+      "--out", "{dir}/d.tsv", "--threads", "2"], "ingest",
+     "{dir}/truncated.jsonl.gz"),
+    (["ingest", "--input", "{dir}/good.jsonl", "{dir}/missing.jsonl",
+      "--out", "{dir}/d.tsv", "--threads", "2"], "ingest", "{dir}/missing.jsonl"),
 ], ids=["run-truncated-gz", "ingest-truncated-gz", "ingest-corrupt-gz",
         "ingest-missing-input", "train-missing-dataset",
         "eval-model-without-classes", "label-undecodable-docs",
         "eval-tfidf-without-vocabulary", "report-invalid-json",
-        "ingest-not-gzip", "train-unknown-label", "eval-unknown-label"])
+        "ingest-not-gzip", "train-unknown-label", "eval-unknown-label",
+        "ingest-workers-truncated-gz", "ingest-workers-missing-input"])
 def test_bad_input_exits_3_with_one_json_line(bad_inputs, argv, stage, names):
     src = str(Path(episilver.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -404,3 +476,46 @@ def test_loader_error_is_short_and_names_the_file(default_run, tmp_path, capsys,
     (line,) = capsys.readouterr().err.splitlines()
     assert len(line.encode("utf-8")) < 1024
     assert str(junk) in json.loads(line)["message"]
+
+
+FRONT_HALF = """
+import json, sys
+from episilver.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        codes.append(main(argv))
+    except SystemExit as exc:  # --help
+        codes.append(exc.code)
+print(json.dumps({"codes": codes,
+                  "loaded": [m for m in ("numpy", "scipy") if m in sys.modules]}))
+"""
+
+
+def test_front_half_loads_no_numeric_package(tmp_path):
+    """`--help`, `synth`, `ingest` and `label` import neither numpy nor
+    scipy, nor does `import episilver`; every export still resolves."""
+    src = str(Path(episilver.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    corpus, docs = str(tmp_path / "corpus.jsonl"), str(tmp_path / "docs.tsv")
+    commands = [
+        ["--help"],
+        ["synth", "--out", corpus, "--counts", "cholera=20,non_epidemic=40"],
+        ["ingest", "--input", corpus, "--out", docs],
+        ["label", "--input", docs, "--out", str(tmp_path / "ds.tsv"),
+         "--classes", "cholera"],
+    ]
+    proc = subprocess.run([sys.executable, "-c", FRONT_HALF, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0, 0], "loaded": []}, proc.stderr
+
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, episilver; "
+         "print(sorted({'numpy', 'scipy'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.stdout.strip() == "[]", proc.stderr
+    for name in episilver.__all__:
+        assert getattr(episilver, name) is not None, name
+    assert set(episilver.__all__) <= set(dir(episilver))

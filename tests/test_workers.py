@@ -1,0 +1,72 @@
+"""The ordered process map behind `--threads`, and the errors that cross
+from a worker process to the caller."""
+
+import gzip
+import pickle
+import re
+
+import pytest
+
+from episilver import errors
+from episilver.corpus import ingest_files
+from episilver.errors import ConfigError, DataError, PipelineError
+from episilver.workers import ordered_map
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# constructor arguments and the attributes they set, for the errors whose
+# constructor is not (message, *, stage)
+CUSTOM_ARGS = {
+    errors.ParseError: (("bad", 3), {"byte_offset": 3}),
+    errors.InsufficientNegativesError: (
+        (5, 2), {"needed": 5, "available": 2, "shortfall": 3}),
+}
+
+
+@pytest.mark.parametrize("cls", [PipelineError, *_subclasses(PipelineError)],
+                         ids=lambda cls: cls.__name__)
+def test_every_pipeline_error_survives_pickling(cls):
+    args, attrs = CUSTOM_ARGS.get(cls, (("something broke",), {}))
+    exc = cls(*args)
+    exc.stage = "ingest"
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls
+    assert str(back) == str(exc)
+    assert back.stage == "ingest"
+    assert back.exit_code == exc.exit_code
+    for name, value in attrs.items():
+        assert getattr(back, name) == value, name
+
+
+def test_in_process_without_a_pool():
+    # a lambda does not pickle, so these can only have run in this process
+    assert ordered_map(lambda t: 2 * t, [1, 2, 3], 1) == [2, 4, 6]
+    assert ordered_map(lambda t: 2 * t, [5], 4) == [10]
+    assert ordered_map(lambda t: 2 * t, [], 4) == []
+
+
+def test_pool_keeps_task_order():
+    tasks = [-5, 3, -1, 8, -2, 0, 7]
+    assert ordered_map(abs, tasks, 2) == [abs(t) for t in tasks]
+
+
+@pytest.mark.parametrize("processes", [0, -3])
+def test_fewer_than_one_process_is_a_config_error(processes):
+    with pytest.raises(ConfigError, match=f"got {processes}"):
+        ordered_map(abs, [1, 2], processes)
+
+
+def test_worker_error_reaches_the_caller_as_itself(tmp_path):
+    good = tmp_path / "good.jsonl"
+    good.write_text('{"id_str": "1", "text": "ok"}\n', encoding="utf-8")
+    truncated = tmp_path / "truncated.jsonl.gz"
+    truncated.write_bytes(gzip.compress(b'{"id_str": "2", "text": "x"}\n' * 50)[:40])
+    with pytest.raises(DataError, match=re.escape(str(truncated))):
+        ingest_files([str(good), str(truncated)], threads=2)
+    with pytest.raises(FileNotFoundError):
+        ingest_files([str(good), str(tmp_path / "missing.jsonl")], threads=2)
