@@ -44,20 +44,7 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError", "DataError", "DatasetSplit", "EpidemicClass", "EvalReport",
-    "LabelRule", "LabeledExample", "LinearModel", "NormalizedDocument",
-    "PipelineConfig", "PipelineError", "RunResult", "Ruleset", "SilverDataset",
-    "SynthSpec", "TfIdfModel", "TrainingError", "TreeModel",
-    "TweetRecord", "accuracy", "assign_label", "build_report",
-    "build_silver_dataset", "class_prf", "compile_ruleset", "confusion_matrix",
-    "deduplicate", "default_ruleset", "filter_original", "fit_tfidf",
-    "ingest_files", "label_documents", "load_ruleset", "match_classes",
-    "normalize_confusion", "normalize_text", "parse_record", "predict",
-    "render_report", "run_pipeline", "sample_negatives", "stratified_split",
-    "synth_corpus", "tokenize", "train_decision_tree", "train_linear_svm",
-    "train_logistic", "transform", "weighted_f1",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

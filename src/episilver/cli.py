@@ -19,7 +19,13 @@ from pathlib import Path
 # import the numeric ones (numpy, scipy) when they run, so `--help`,
 # `synth`, `ingest` and `label`, and their worker processes, never load
 # them.
-from .config import DEFAULT_CLASSES, MODEL_KINDS, PipelineConfig, derive_seed
+from .config import (
+    DEFAULT_CLASSES,
+    MODEL_KINDS,
+    PipelineConfig,
+    check_distinct_paths,
+    derive_seed,
+)
 from .corpus import NormalizedDocument, ingest_files
 from .errors import ConfigError, DataError, PipelineError, stage
 from .labeling import (
@@ -99,6 +105,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    check_distinct_paths(args.input, (args.out, args.stats))
     docs, stats = ingest_files(args.input, _lang_arg(args.lang), args.threads)
     _write_docs_tsv(docs, args.out)
     summary = json.dumps(stats.as_dict(), sort_keys=True)
@@ -111,6 +118,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_label(args: argparse.Namespace) -> int:
+    check_distinct_paths((args.input,), (args.out, args.stats))
     ruleset = _ruleset_arg(args.ruleset)
     docs = _read_docs_tsv(args.input)
     dataset, stats = label_documents(
@@ -130,47 +138,34 @@ def cmd_label(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_split_features(args: argparse.Namespace):
-    from . import models
-
-    examples = read_dataset_tsv(args.dataset)
-    if not examples:
-        raise DataError(f"{args.dataset}: empty dataset")
-    labels = [ex.label for ex in examples]
-    split = models.stratified_split(
-        labels, args.ratio, derive_seed(args.seed, "split")
-    )
-    return examples, labels, split
-
-
 def cmd_train(args: argparse.Namespace) -> int:
-    from . import features, models
-    from .pipeline import fit_features, train_model
+    from . import features
+    from .pipeline import fit_features, split_dataset, train_model
 
-    examples, labels, split = _load_split_features(args)
+    train, _, _ = split_dataset(
+        read_dataset_tsv(args.dataset), args.ratio, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_texts = [examples[i].text for i in split.train]
+    texts = [ex.text for ex in train]
     tfidf = fit_features(
-        train_texts, _ruleset_arg(args.ruleset) if args.mask_keywords else None
-    )
-    features.save_tfidf(tfidf, out_dir / "tfidf.json")
+        texts, _ruleset_arg(args.ruleset) if args.mask_keywords else None,
+        out_dir)
     checksum = features.idf_checksum(tfidf)
-    X_train = features.transform(tfidf, train_texts)
-    y_train = [labels[i] for i in split.train]
+    X_train = features.transform(tfidf, texts)
+    y_train = [ex.label for ex in train]
     kinds = MODEL_KINDS if args.model == "all" else (args.model,)
     for kind in kinds:
-        model = train_model(kind, X_train, y_train, args.seed)
-        models.save_model(model, out_dir / f"model-{kind}.json", checksum)
+        train_model(kind, X_train, y_train, args.seed, checksum, out_dir)
         print(f"trained {kind} on {len(y_train)} examples -> model-{kind}.json")
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from . import evaluation, features, models
-    from .pipeline import write_report
+    from . import features, models
+    from .pipeline import evaluate, split_dataset
 
-    examples, labels, split = _load_split_features(args)
+    _, validation, class_order = split_dataset(
+        read_dataset_tsv(args.dataset), args.ratio, args.seed)
     tfidf = features.load_tfidf(args.tfidf)
     model, expected = models.load_model(args.model_file)
     actual = features.idf_checksum(tfidf)
@@ -179,15 +174,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"model {args.model_file} was trained against a different "
             f"feature model (checksum {expected[:12]}.. != {actual[:12]}..)"
         )
-    X_val = features.transform(tfidf, (examples[i].text for i in split.validation))
-    y_val = [labels[i] for i in split.validation]
-    pred = models.predict(model, X_val)
-    class_order = tuple(sorted(set(labels)))
-    kind = getattr(model, "kind", "tree")
-    report = evaluation.build_report(kind, y_val, pred, class_order)
+    X_val = features.transform(tfidf, (ex.text for ex in validation))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_report(report, out_dir)
+    report = evaluate(getattr(model, "kind", "tree"), model, X_val,
+                      [ex.label for ex in validation], class_order, out_dir)
     print(f"{report.model_id}: weighted_f1={report.weighted_f1:.4f} "
           f"accuracy={report.accuracy:.4f}")
     return 0

@@ -1,5 +1,6 @@
 """Run configuration: the defaults, the resolved configuration of a
-`run`, its hash and the per-stage seeds.
+`run`, its hash, the per-stage seeds and the check that no command
+writes over one of its inputs.
 
 Only the standard library is needed here, so the commands that never
 train (``synth``, ``ingest``, ``label``) import no numeric package.
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import ConfigError
@@ -38,10 +39,6 @@ class PipelineConfig:
     require_lang: str | None = "en"
     mask_keywords: bool = False
     threads: int = 1
-    max_iter: int = 1000
-    strength: float = 1.0
-    tol: float = 1e-4
-    tree_max_depth: int = 150
 
     def __post_init__(self):
         if not self.inputs:
@@ -57,30 +54,21 @@ class PipelineConfig:
         for kind in self.model_kinds:
             if kind not in MODEL_KINDS:
                 raise ConfigError(f"unknown model kind {kind!r}")
-        paths = [str(Path(p)) for p in self.inputs] + [str(Path(self.out_dir))]
-        if len(set(paths)) != len(paths):
-            raise ConfigError("input and output paths must be distinct")
+        check_distinct_paths(self.inputs, (self.out_dir,))
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
     def as_dict(self) -> dict:
-        return {
-            "inputs": list(self.inputs),
-            "out_dir": self.out_dir,
-            "ruleset_path": self.ruleset_path,
-            "included_classes": [c.label for c in self.included_classes],
-            "policy": self.policy,
-            "ratio": self.ratio,
-            "master_seed": self.master_seed,
-            "model_kinds": list(self.model_kinds),
-            "require_lang": self.require_lang,
-            "mask_keywords": self.mask_keywords,
-            "threads": self.threads,
-            "max_iter": self.max_iter,
-            "strength": self.strength,
-            "tol": self.tol,
-            "tree_max_depth": self.tree_max_depth,
-        }
+        return {**asdict(self),
+                "included_classes": [c.label for c in self.included_classes]}
+
+
+def check_distinct_paths(inputs, outputs) -> None:
+    """Raise ConfigError unless the input paths and the given output paths
+    are all distinct, so that no command overwrites what it reads."""
+    paths = [str(Path(p)) for p in (*inputs, *outputs) if p is not None]
+    if len(set(paths)) != len(paths):
+        raise ConfigError("input and output paths must be distinct")
 
 
 def derive_seed(master: int, stage: str) -> int:

@@ -280,7 +280,11 @@ def label_documents(
 
     Also returns the counts ``matched`` (per resolved class),
     ``ambiguous_excluded`` and ``unmatched``; they sum to len(docs).
+    An empty ``included`` is a ConfigError.
     """
+    included = tuple(included)
+    if not included:
+        raise ConfigError("included class list is empty")
     docs = list(docs)
     texts = [doc.text for doc in docs]
     chunks = [texts[i:i + LABEL_CHUNK] for i in range(0, len(texts), LABEL_CHUNK)]

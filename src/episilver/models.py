@@ -25,7 +25,7 @@ import json
 import math
 import random
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +64,7 @@ def stratified_split(
     Keeps every class's train fraction within one sample of the ratio.
     """
     if not 0.0 < ratio < 1.0:
-        raise DataError(f"split ratio {ratio} outside (0, 1)")
+        raise ConfigError(f"split ratio {ratio} outside (0, 1)")
     by_class: dict[EpidemicClass, list[int]] = {}
     for i, label in enumerate(labels):
         by_class.setdefault(label, []).append(i)
@@ -226,12 +226,6 @@ class LinearHyperparams:
     tol: float = 1e-4
     seed: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "strength": self.strength, "max_iter": self.max_iter,
-            "tol": self.tol, "seed": self.seed,
-        }
-
 
 @dataclass
 class LinearModel:
@@ -354,12 +348,6 @@ class TreeHyperparams:
     max_depth: int = 150
     seed: int = 0
     criterion: str = "entropy"
-
-    def as_dict(self) -> dict:
-        return {
-            "max_depth": self.max_depth, "seed": self.seed,
-            "criterion": self.criterion,
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -614,7 +602,7 @@ def save_model(
         "format_version": MODEL_FORMAT_VERSION,
         "classes": [c.label for c in model.class_order],
         "dim": model.dim,
-        "hyperparams": model.hyperparams.as_dict(),
+        "hyperparams": asdict(model.hyperparams),
         "tfidf_sha256": tfidf_checksum,
     }
     if isinstance(model, TreeModel):

@@ -4,11 +4,14 @@ Every run writes a manifest recording the resolved configuration, a
 hash of it, all derived seeds and per-stage counts, so any reported
 number can be traced back to its inputs. Dataset, model and report
 files are byte-identical across runs with the same configuration.
+
+The back half has one implementation per stage (`split_dataset`,
+`fit_features`, `train_model`, `evaluate`); `run_pipeline` and the
+`train` and `eval` subcommands call only these.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 from dataclasses import dataclass, field
@@ -25,7 +28,7 @@ from .config import (  # noqa: F401
     derive_seed,
 )
 from .corpus import ingest_files
-from .errors import stage
+from .errors import DataError, stage
 from .labeling import (
     EpidemicClass,
     Ruleset,
@@ -48,43 +51,62 @@ class RunResult:
         return self.out_dir / "dataset.tsv"
 
 
-def train_model(
-    kind: str,
-    X_train,
-    y_train,
-    master_seed: int,
-    linear: models.LinearHyperparams = models.LinearHyperparams(),
-    tree: models.TreeHyperparams = models.TreeHyperparams(),
-):
-    """Train one model kind; the tree's sampling seed derives from the
-    master seed, whatever seed `tree` carries."""
-    if kind == "tree":
-        hp = dataclasses.replace(tree, seed=derive_seed(master_seed, "tree"))
-        return models.train_decision_tree(X_train, y_train, hp)
-    if kind == "logistic":
-        return models.train_logistic(X_train, y_train, linear)
-    return models.train_linear_svm(X_train, y_train, linear)
+def split_dataset(examples, ratio: float, master_seed: int):
+    """Split examples by class with the seed derived from the master seed;
+    returns the train examples, the validation examples and the class
+    order of the reports."""
+    if not examples:
+        raise DataError("empty dataset")
+    labels = [ex.label for ex in examples]
+    split = models.stratified_split(
+        labels, ratio, derive_seed(master_seed, "split"))
+    return ([examples[i] for i in split.train],
+            [examples[i] for i in split.validation],
+            tuple(sorted(set(labels))))
 
 
-def fit_features(texts, mask: Ruleset | None) -> features.TfIdfModel:
-    """Fit TF-IDF on texts; with a ruleset, every token that one of its
-    rules matches stays out of the vocabulary (``--mask-keywords``)."""
+def fit_features(texts, mask: Ruleset | None, out_dir: Path) -> features.TfIdfModel:
+    """Fit TF-IDF on texts and write tfidf.json into out_dir; with a
+    ruleset, every token that one of its rules matches stays out of the
+    vocabulary (``--mask-keywords``)."""
     exclude = None
     if mask is not None:
         exclude = lambda token: bool(match_rules(mask, token))  # noqa: E731
-    return features.fit_tfidf(texts, exclude=exclude)
+    tfidf = features.fit_tfidf(texts, exclude=exclude)
+    features.save_tfidf(tfidf, out_dir / "tfidf.json")
+    return tfidf
 
 
-def write_report(report: evaluation.EvalReport, out_dir: Path) -> None:
-    """Write report-<model>.tsv, report-<model>.json and
-    confusion-<model>.csv into out_dir."""
-    name = report.model_id
-    (out_dir / f"report-{name}.tsv").write_bytes(
+def train_model(kind: str, X_train, y_train, master_seed: int,
+                tfidf_checksum: str, out_dir: Path):
+    """Train one model kind at the default hyperparameters, the tree's
+    sampling seed derived from the master seed, and write
+    model-<kind>.json into out_dir."""
+    if kind == "tree":
+        model = models.train_decision_tree(
+            X_train, y_train,
+            models.TreeHyperparams(seed=derive_seed(master_seed, "tree")))
+    elif kind == "logistic":
+        model = models.train_logistic(X_train, y_train)
+    else:
+        model = models.train_linear_svm(X_train, y_train)
+    models.save_model(model, out_dir / f"model-{kind}.json", tfidf_checksum)
+    return model
+
+
+def evaluate(kind: str, model, X_val, y_val, class_order,
+             out_dir: Path) -> evaluation.EvalReport:
+    """Score the model on the validation rows and write report-<kind>.tsv,
+    report-<kind>.json and confusion-<kind>.csv into out_dir."""
+    report = evaluation.build_report(
+        kind, y_val, models.predict(model, X_val), class_order)
+    (out_dir / f"report-{kind}.tsv").write_bytes(
         evaluation.render_report(report, "tsv"))
-    (out_dir / f"report-{name}.json").write_bytes(
+    (out_dir / f"report-{kind}.json").write_bytes(
         evaluation.render_report(report, "json"))
-    (out_dir / f"confusion-{name}.csv").write_bytes(
+    (out_dir / f"confusion-{kind}.csv").write_bytes(
         evaluation.render_confusion_csv(report))
+    return report
 
 
 def run_pipeline(config: PipelineConfig) -> RunResult:
@@ -143,37 +165,32 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     timings["balance"] = time.perf_counter() - t0
 
     with stage("split"):
-        labels = [ex.label for ex in dataset.examples]
-        split = models.stratified_split(labels, config.ratio, seeds["split"])
+        train, validation, class_order = split_dataset(
+            dataset.examples, config.ratio, config.master_seed)
         manifest["stages"]["split"] = {
-            "train": len(split.train),
-            "validation": len(split.validation),
+            "train": len(train),
+            "validation": len(validation),
             "ratio": config.ratio,
         }
 
     t0 = time.perf_counter()
     with stage("features"):
-        train_texts = [dataset.examples[i].text for i in split.train]
+        train_texts = [ex.text for ex in train]
         tfidf = fit_features(
-            train_texts, ruleset if config.mask_keywords else None
-        )
+            train_texts, ruleset if config.mask_keywords else None, out_dir)
         checksum = features.idf_checksum(tfidf)
         X_train = features.transform(tfidf, train_texts)
-        X_val = features.transform(
-            tfidf, (dataset.examples[i].text for i in split.validation))
-        y_train = [dataset.examples[i].label for i in split.train]
-        y_val = [dataset.examples[i].label for i in split.validation]
-        tfidf_path = out_dir / "tfidf.json"
-        features.save_tfidf(tfidf, tfidf_path)
+        X_val = features.transform(tfidf, (ex.text for ex in validation))
+        y_train = [ex.label for ex in train]
+        y_val = [ex.label for ex in validation]
         manifest["stages"]["features"] = {
             "vocabulary_size": tfidf.dim,
             "train_documents": tfidf.doc_count,
             "masked_keywords": config.mask_keywords,
         }
-        manifest["artifacts"]["tfidf"] = tfidf_path.name
+        manifest["artifacts"]["tfidf"] = "tfidf.json"
     timings["features"] = time.perf_counter() - t0
 
-    class_order = tuple(sorted(set(labels)))
     result = RunResult(manifest=manifest, out_dir=out_dir)
     manifest["stages"]["models"] = {}
     manifest["stages"]["eval"] = {}
@@ -181,16 +198,8 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         t0 = time.perf_counter()
         with stage("train"):
             model = train_model(
-                kind, X_train, y_train, config.master_seed,
-                models.LinearHyperparams(
-                    strength=config.strength, max_iter=config.max_iter,
-                    tol=config.tol,
-                ),
-                models.TreeHyperparams(max_depth=config.tree_max_depth),
-            )
-            model_path = out_dir / f"model-{kind}.json"
-            models.save_model(model, model_path, checksum)
-            manifest["artifacts"][f"model-{kind}"] = model_path.name
+                kind, X_train, y_train, config.master_seed, checksum, out_dir)
+            manifest["artifacts"][f"model-{kind}"] = f"model-{kind}.json"
             manifest["stages"]["models"][kind] = {
                 "classes": [c.label for c in model.class_order],
                 "iterations": getattr(model, "n_iter", None),
@@ -201,10 +210,8 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
 
         t0 = time.perf_counter()
         with stage("evaluate"):
-            pred = models.predict(model, X_val)
-            report = evaluation.build_report(kind, y_val, pred, class_order)
+            report = evaluate(kind, model, X_val, y_val, class_order, out_dir)
             result.reports[kind] = report
-            write_report(report, out_dir)
             manifest["artifacts"][f"report-{kind}"] = f"report-{kind}.json"
             manifest["stages"]["eval"][kind] = {
                 "weighted_f1": report.weighted_f1,

@@ -13,6 +13,7 @@ from scipy import sparse
 
 import episilver
 from episilver.errors import (
+    ConfigError,
     DataError,
     DegenerateLabelsError,
     ShapeError,
@@ -71,7 +72,7 @@ class TestStratifiedSplit:
             stratified_split([EC.MERS, EC.EBOLA, EC.EBOLA], 0.75, 0)
 
     def test_bad_ratio(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             stratified_split([EC.MERS] * 4, 1.0, 0)
 
     @given(

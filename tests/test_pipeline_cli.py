@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import json
 import os
@@ -48,7 +49,7 @@ def large_corpus(small_corpus, tmp_path_factory):
 def small_config(corpus, out_dir, **overrides):
     defaults = dict(
         inputs=(corpus,), out_dir=str(out_dir), master_seed=99,
-        threads=1, max_iter=150,
+        threads=1,
     )
     defaults.update(overrides)
     return PipelineConfig(**defaults)
@@ -158,11 +159,12 @@ class TestOneTrainingPath:
     def test_manifest_records_convergence(self, default_run):
         manifest = json.loads((default_run / "manifest.json").read_text())
         records = manifest["stages"]["models"]
-        tol = manifest["config"]["tol"]
         for kind in ("logistic", "svm"):
+            hyperparams = json.loads(
+                (default_run / f"model-{kind}.json").read_text())["hyperparams"]
             assert records[kind]["converged"] is True, kind
-            assert records[kind]["final_grad_norm"] <= tol, kind
-            assert 0 < records[kind]["iterations"] < 5 * manifest["config"]["max_iter"]
+            assert records[kind]["final_grad_norm"] <= hyperparams["tol"], kind
+            assert 0 < records[kind]["iterations"] < 5 * hyperparams["max_iter"]
         tree = records["tree"]
         assert tree["converged"] is tree["final_grad_norm"] is tree["iterations"] is None
 
@@ -321,12 +323,35 @@ class TestCli:
         assert record["stage"] == "ingest"
         assert record["error"] == "DataError"
 
-    def test_bad_class_list_exits_2(self, small_corpus, tmp_path, capsys):
-        code = main(["run", "--input", small_corpus,
-                     "--out", str(tmp_path / "o"), "--classes", "plague"])
+    @pytest.mark.parametrize("classes", ["plague", ""])
+    @pytest.mark.parametrize("command", ["run", "label"])
+    def test_bad_class_list_exits_2(self, small_corpus, small_docs, tmp_path,
+                                    capsys, command, classes):
+        source = small_corpus if command == "run" else str(small_docs)
+        out = tmp_path / "o"
+        code = main([command, "--input", source, "--out", str(out),
+                     "--classes", classes, "--threads", "1"])
         assert code == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "ConfigError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--stats"])
+    @pytest.mark.parametrize("command", ["ingest", "label"])
+    def test_output_over_input_exits_2(self, small_corpus, small_docs, tmp_path,
+                                       capsys, command, flag):
+        original = Path(
+            small_corpus if command == "ingest" else small_docs).read_bytes()
+        source = tmp_path / "input"
+        source.write_bytes(original)
+        outputs = {"--out": str(tmp_path / "out.tsv"),
+                   "--stats": str(tmp_path / "stats.json"), flag: str(source)}
+        code = main([command, "--input", str(source), "--threads", "1",
+                     *(arg for item in outputs.items() for arg in item)])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "ConfigError"
+        assert source.read_bytes() == original
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     @pytest.mark.parametrize("command", ["ingest", "label"])
@@ -343,10 +368,40 @@ class TestCli:
         assert f"got {threads}" in record["message"]
         assert not out.exists()
 
-    def test_bad_ratio_exits_2(self, small_corpus, tmp_path, capsys):
-        code = main(["run", "--input", small_corpus,
-                     "--out", str(tmp_path / "o"), "--ratio", "2.0"])
+    @pytest.mark.parametrize("command", ["run", "train", "eval"])
+    def test_bad_ratio_exits_2(self, small_corpus, default_run, tmp_path,
+                               capsys, command):
+        argv = {
+            "run": ["run", "--input", small_corpus],
+            "train": ["train", "--dataset", str(default_run / "dataset.tsv")],
+            "eval": ["eval", "--dataset", str(default_run / "dataset.tsv"),
+                     "--tfidf", str(default_run / "tfidf.json"),
+                     "--model-file", str(default_run / "model-tree.json")],
+        }[command]
+        code = main([*argv, "--out", str(tmp_path / "o"), "--ratio", "2.0"])
         assert code == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError"
+
+    def test_every_config_field_is_reachable(self, monkeypatch, tmp_path):
+        """`run` sets every PipelineConfig field from an option: a field no
+        option reaches is a knob that nothing can turn."""
+        captured = []
+
+        def fake_run(config):
+            captured.append(config)
+            return pipeline.RunResult(manifest={}, out_dir=tmp_path)
+
+        monkeypatch.setattr(pipeline, "run_pipeline", fake_run)
+        assert main(["run", "--input", "a.jsonl", "--out", "o",
+                     "--ruleset", "rules.json", "--classes", "cholera",
+                     "--policy", "priority", "--ratio", "0.5", "--seed", "7",
+                     "--model", "svm", "--lang", "none", "--mask-keywords",
+                     "--threads", "2"]) == 0
+        (config,) = captured
+        for f in dataclasses.fields(PipelineConfig):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(config, f.name) != f.default, f.name
 
     def test_single_class_dataset_exits_4(self, tmp_path, capsys):
         dataset = tmp_path / "ds.tsv"
