@@ -152,14 +152,13 @@ def normalize_text(text: str) -> str:
     splice something new together (an emoji embedded inside a URL, an
     emoticon assembled from stripped emoji), and the output must carry
     none of the stripped constructs. Each changing pass strictly
-    shortens the string, so the loop terminates. May return "".
+    shortens the string, so the loop terminates; a pass that changes
+    nothing ends it, since the pass is a pure function. May return "".
     """
     out = _normalize_pass(text)
-    while True:
-        again = _normalize_pass(out)
-        if again == out:
-            return out
-        out = again
+    while out != text:
+        text, out = out, _normalize_pass(out)
+    return out
 
 
 def deduplicate(

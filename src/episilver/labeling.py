@@ -30,6 +30,11 @@ from .errors import (
 )
 from .workers import ordered_map
 
+try:  # the parser that re itself uses; sre_parse before Python 3.11
+    from re import _parser as _sre_parse
+except ImportError:
+    import sre_parse as _sre_parse
+
 DEFAULT_RULES_RESOURCE = "default_rules.tsv"
 
 # Texts per labeling task: a few dozen tasks for a 100k-document corpus,
@@ -82,13 +87,70 @@ class LabelRule:
 
 @dataclass(frozen=True)
 class Ruleset:
-    """Priority-ordered rules with their compiled patterns."""
+    """Priority-ordered rules with their compiled patterns and, for each
+    rule, its prefilter: a pattern of literals, one of which every match
+    of the rule contains, or None when the rule has no required literal.
+    Iterating gives (rule, compiled pattern) pairs."""
 
     rules: tuple[LabelRule, ...]
     compiled: tuple[re.Pattern, ...]
+    prefilters: tuple[re.Pattern | None, ...]
 
     def __iter__(self):
         return iter(zip(self.rules, self.compiled))
+
+
+# POSSESSIVE_REPEAT came with Python 3.11.
+_REPEATS = {_sre_parse.MAX_REPEAT, _sre_parse.MIN_REPEAT,
+            getattr(_sre_parse, "POSSESSIVE_REPEAT", _sre_parse.MAX_REPEAT)}
+
+
+def _literal_candidates(items) -> Iterator[set[str]]:
+    """Sets of literals, one of which every match of the parsed sequence
+    contains: each run of literal characters, and the sets of the plain
+    groups, of the alternations whose every branch has one and of the
+    repeats that match at least once."""
+    run: list[str] = []
+    for op, av in items:
+        if op is _sre_parse.LITERAL:
+            run.append(chr(av))
+            continue
+        if run:
+            yield {"".join(run)}
+            run = []
+        found = None
+        if op is _sre_parse.SUBPATTERN and not av[1] and not av[2]:
+            found = _required_literals(av[3])
+        elif op is _sre_parse.BRANCH:
+            branches = [_required_literals(b) for b in av[1]]
+            if all(branches):
+                found = set().union(*branches)
+        elif op in _REPEATS and av[0] >= 1:
+            found = _required_literals(av[2])
+        if found:
+            yield found
+    if run:
+        yield {"".join(run)}
+
+
+def _required_literals(items) -> set[str] | None:
+    """The candidate set whose shortest literal is longest, or None."""
+    return max(_literal_candidates(items),
+               key=lambda lits: min(map(len, lits)), default=None)
+
+
+def _prefilter(rx: re.Pattern) -> re.Pattern | None:
+    """The required literals of rx as one pattern compiled with rx's own
+    flags, so that it finds a literal wherever rx's match has one (case
+    folding included); None when rx has no required literal. A literal
+    that contains another is dropped: it cannot match where the shorter
+    one does not, since ``re`` compares literals character by character."""
+    literals = _required_literals(_sre_parse.parse(rx.pattern, rx.flags))
+    if not literals:
+        return None
+    kept = sorted(s for s in literals
+                  if not any(t != s and t in s for t in literals))
+    return re.compile("|".join(map(re.escape, kept)), rx.flags)
 
 
 def compile_ruleset(rules: Sequence[LabelRule]) -> Ruleset:
@@ -110,7 +172,8 @@ def compile_ruleset(rules: Sequence[LabelRule]) -> Ruleset:
                 f"rule {rule.target.label} (priority {rule.priority}) "
                 f"does not compile: {exc}"
             ) from exc
-    return Ruleset(rules=ordered, compiled=tuple(compiled))
+    return Ruleset(rules=ordered, compiled=tuple(compiled),
+                   prefilters=tuple(map(_prefilter, compiled)))
 
 
 def parse_ruleset_text(text: str, origin: str = "<string>") -> Ruleset:
@@ -166,8 +229,15 @@ def default_ruleset() -> Ruleset:
 
 
 def match_rules(ruleset: Ruleset, text: str) -> tuple[LabelRule, ...]:
-    """All rules matching anywhere in text, in priority order."""
-    return tuple(rule for rule, rx in ruleset if rx.search(text))
+    """All rules matching anywhere in text, in priority order.
+
+    A rule's full pattern runs only on a text in which its prefilter
+    finds one of the rule's required literals; the result is the same as
+    searching every rule's pattern."""
+    return tuple(
+        rule for rule, rx, pre in zip(ruleset.rules, ruleset.compiled,
+                                      ruleset.prefilters)
+        if (pre is None or pre.search(text)) and rx.search(text))
 
 
 def match_classes(ruleset: Ruleset, text: str) -> set[EpidemicClass]:

@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from episilver import corpus
 from episilver.corpus import (
     EMOJI_PATTERN,
     EMOTICONS,
@@ -18,6 +19,7 @@ from episilver.corpus import (
     parse_record,
 )
 from episilver.errors import ParseError, SchemaError
+from helpers import adversarial_strings
 
 
 class TestParseRecord:
@@ -141,6 +143,32 @@ class TestNormalizeText:
         assert out == out.strip()
         assert "  " not in out and "\t" not in out and "\n" not in out
         assert not any(tok in EMOTICONS for tok in out.split())
+
+    def test_clean_text_makes_one_pass(self, monkeypatch):
+        calls = []
+        real = corpus._normalize_pass
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(corpus, "_normalize_pass", counting)
+        assert normalize_text("flu season in town") == "flu season in town"
+        assert calls == ["flu season in town"]
+
+    def test_equals_confirming_loop(self):
+        def confirming_loop(text):
+            # every pass is followed by one more that must change nothing
+            out = corpus._normalize_pass(text)
+            while True:
+                again = corpus._normalize_pass(out)
+                if again == out:
+                    return out
+                out = again
+
+        for text in adversarial_strings(seed=41, count=1000):
+            for variant in (text, f"{text} http://t.co/\U0001F637x :)"):
+                assert normalize_text(variant) == confirming_loop(variant), variant
 
 
 def _docs(texts):

@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from episilver.corpus import NormalizedDocument
 from episilver.errors import (
@@ -22,6 +24,7 @@ from episilver.labeling import (
     label_documents,
     load_ruleset,
     match_classes,
+    match_rules,
     parse_ruleset_text,
     read_dataset_tsv,
     read_tsv,
@@ -127,6 +130,77 @@ class TestMatching:
         rs = default_ruleset()
         for text in adversarial_strings(seed=97, count=1000):
             assert match_classes(rs, text) == brute_match_classes(text), text
+
+
+def _unfiltered(ruleset, text):
+    return tuple(r for r, rx in ruleset if rx.search(text))
+
+
+# Patterns from a small grammar: literals, boundaries, classes, plain and
+# case-scoped groups, alternations and repeats with minimum 0 and 1.
+_ATOMS = st.one_of(
+    st.sampled_from(["a", "s", "k", "i", "hiv", "sars", "kill", "#", "ß", "İ"])
+    .map(re.escape),
+    st.sampled_from([r"\b", r"\s+", ".", "[a-c]", "[#ks]", "[^a]"]),
+)
+
+
+def _compound(inner):
+    seq = st.lists(inner, min_size=1, max_size=3).map("".join)
+    return st.one_of(
+        st.tuples(seq, seq).map("(?:{0[0]}|{0[1]})".format),
+        st.tuples(seq, st.sampled_from(["?", "*", "{0,2}", "+", "{1,2}"]))
+        .map("(?:{0[0]}){0[1]}".format),
+        seq.map("(?i:{})".format),
+        seq.map("(?-i:{})".format),
+    )
+
+
+_PATTERNS = st.lists(st.recursive(_ATOMS, _compound, max_leaves=6),
+                     min_size=1, max_size=4).map("".join)
+_RULES = st.lists(st.tuples(_PATTERNS, st.booleans()), min_size=1, max_size=3)
+# Case-folding traps of Python's re: dotted capital I and dotless i fold
+# to i, long s to s, the Kelvin sign to k; sharp s never matches ss.
+_TEXTS = st.lists(
+    st.sampled_from(["a", "A", "s", "S", "k", "K", "i", "I", "h", "H", "v",
+                     "V", "#", " ", "\t", "İ", "ı", "ſ", "\u212a", "ß",
+                     "hiv", "HİV", "sars", "ſars", "kill", "\u212aILL"]),
+    max_size=12,
+).map("".join)
+
+
+class TestPrefilter:
+    def test_default_ruleset_prefilters(self):
+        rs = default_ruleset()
+        assert [(p.pattern, bool(p.flags & re.IGNORECASE)) for p in rs.prefilters] == [
+            (k, True) for k in ("swine", "h1n1", "ebola", "cholera", "influenza",
+                                "flu", "yellow", "hiv", "mers", "sars")
+        ] + [("AIDS", False)]
+
+    def test_rule_without_literal_runs_in_full(self):
+        rs = compile_ruleset([LabelRule(EC.FLU, "[0-9]+", False, 0)])
+        assert rs.prefilters == (None,)
+        assert match_rules(rs, "flu season of 2009") == rs.rules
+        assert match_rules(rs, "flu season") == ()
+
+    @pytest.mark.parametrize("pattern,text", [
+        (r"\bhiv\b", "hİv"),
+        (r"\bHIV\b", "hıv"),
+        (r"\bsars\b", "ſars"),
+        (r"\bkill\b", "\u212aill"),
+    ])
+    def test_case_folding_is_the_rules_own(self, pattern, text):
+        rs = compile_ruleset([LabelRule(EC.HIV_AIDS, pattern, False, 0)])
+        assert rs.prefilters[0] is not None
+        assert match_rules(rs, text) == _unfiltered(rs, text) == rs.rules
+
+    @settings(max_examples=400, deadline=None)
+    @given(_RULES, st.lists(_TEXTS, min_size=1, max_size=8))
+    def test_prefilter_never_changes_the_match(self, specs, texts):
+        rs = compile_ruleset([LabelRule(EC.FLU, pattern, case_sensitive, i)
+                              for i, (pattern, case_sensitive) in enumerate(specs)])
+        for text in texts:
+            assert match_rules(rs, text) == _unfiltered(rs, text), (specs, text)
 
 
 class TestAssignLabel:

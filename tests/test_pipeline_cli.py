@@ -3,6 +3,7 @@ import gzip
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -205,6 +206,30 @@ class TestWorkerProcesses:
                          "--stats", str(stats)]) == 0
             outputs[threads] = (dataset.read_bytes(), stats.read_bytes())
         assert outputs["1"] == outputs["2"]
+
+    def test_custom_ruleset_does_not_depend_on_threads(self, large_corpus, tmp_path):
+        # a rule with a prefilter, one without a required literal and a
+        # case-sensitive one with a case-insensitive group
+        rules = tmp_path / "rules.tsv"
+        rules.write_text("cholera\t0\t0\t\\bcholera\\b\n"
+                         "mers\t1\t1\t[#\\s][mM][eE][rR][sS]\\b\n"
+                         "swine_flu\t1\t2\t\\bSwine(?i:\\s*flu)\\b\n", encoding="utf-8")
+        prefilters = labeling.load_ruleset(rules).prefilters
+        assert [p and (p.pattern, p.flags & re.IGNORECASE) for p in prefilters] \
+            == [("cholera", re.IGNORECASE), None, ("Swine", 0)]
+        docs = tmp_path / "docs.tsv"
+        assert main(["ingest", "--input", *large_corpus, "--out", str(docs),
+                     "--threads", "1"]) == 0
+        outputs = {}
+        for threads in ("1", "2"):
+            dataset, stats = tmp_path / f"ds-{threads}.tsv", tmp_path / f"{threads}.json"
+            assert main(["label", "--input", str(docs), "--out", str(dataset),
+                         "--ruleset", str(rules), "--threads", threads,
+                         "--stats", str(stats)]) == 0
+            outputs[threads] = (dataset.read_bytes(), stats.read_bytes())
+        assert outputs["1"] == outputs["2"]
+        assert set(json.loads(outputs["1"][1])["matched"]) \
+            == {"cholera", "mers", "swine_flu"}
 
 
 class TestOneLabelingPath:
