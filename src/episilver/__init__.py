@@ -28,7 +28,7 @@ _EXPORTS = {
     "features": ("TfIdfModel", "fit_tfidf", "tokenize", "transform"),
     "labeling": (
         "EpidemicClass", "LabeledExample", "LabelRule", "Ruleset",
-        "SilverDataset", "assign_label", "build_silver_dataset",
+        "SilverDataset", "build_silver_dataset",
         "compile_ruleset", "default_ruleset", "label_documents",
         "load_ruleset", "match_classes", "sample_negatives",
     ),

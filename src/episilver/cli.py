@@ -17,8 +17,8 @@ from pathlib import Path
 
 # Only stdlib-only modules at the top: the commands that train or score
 # import the numeric ones (numpy, scipy) when they run, so `--help`,
-# `synth`, `ingest` and `label`, and their worker processes, never load
-# them.
+# `synth`, `ingest` and `label`, and the ingest worker processes, never
+# load them.
 from .config import (
     DEFAULT_CLASSES,
     MODEL_KINDS,
@@ -123,7 +123,7 @@ def cmd_label(args: argparse.Namespace) -> int:
     docs = _read_docs_tsv(args.input)
     dataset, stats = label_documents(
         docs, ruleset, _parse_classes(args.classes), args.policy,
-        derive_seed(args.seed, "negatives"), args.threads,
+        derive_seed(args.seed, "negatives"),
     )
     write_dataset_tsv(dataset, args.out)
     counts = {c.label: n for c, n in dataset.class_counts.items()}
@@ -261,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", default=default_classes)
     p.add_argument("--policy", choices=("exclude", "priority"), default="exclude")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--stats")
     p.set_defaults(func=cmd_label)
 

@@ -14,9 +14,7 @@ import random
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import partial
 from importlib import resources
-from itertools import chain
 from pathlib import Path
 
 from .corpus import NormalizedDocument
@@ -28,7 +26,6 @@ from .errors import (
     InsufficientNegativesError,
     PatternError,
 )
-from .workers import ordered_map
 
 try:  # the parser that re itself uses; sre_parse before Python 3.11
     from re import _parser as _sre_parse
@@ -36,10 +33,6 @@ except ImportError:
     import sre_parse as _sre_parse
 
 DEFAULT_RULES_RESOURCE = "default_rules.tsv"
-
-# Texts per labeling task: a few dozen tasks for a 100k-document corpus,
-# so two workers stay evenly loaded while each task pickles in one piece.
-LABEL_CHUNK = 4096
 
 
 class EpidemicClass(enum.IntEnum):
@@ -90,11 +83,13 @@ class Ruleset:
     """Priority-ordered rules with their compiled patterns and, for each
     rule, its prefilter: a pattern of literals, one of which every match
     of the rule contains, or None when the rule has no required literal.
-    Iterating gives (rule, compiled pattern) pairs."""
+    The gate pools all rules' literals (see ``match_rules``). Iterating
+    gives (rule, compiled pattern) pairs."""
 
     rules: tuple[LabelRule, ...]
     compiled: tuple[re.Pattern, ...]
     prefilters: tuple[re.Pattern | None, ...]
+    gate: tuple[tuple[str, ...], tuple[str, ...]] | None
 
     def __iter__(self):
         return iter(zip(self.rules, self.compiled))
@@ -139,18 +134,45 @@ def _required_literals(items) -> set[str] | None:
                key=lambda lits: min(map(len, lits)), default=None)
 
 
-def _prefilter(rx: re.Pattern) -> re.Pattern | None:
-    """The required literals of rx as one pattern compiled with rx's own
-    flags, so that it finds a literal wherever rx's match has one (case
-    folding included); None when rx has no required literal. A literal
-    that contains another is dropped: it cannot match where the shorter
-    one does not, since ``re`` compares literals character by character."""
-    literals = _required_literals(_sre_parse.parse(rx.pattern, rx.flags))
+def _pruned(literals: set[str]) -> tuple[str, ...]:
+    """The literals, sorted, without one that contains another: ``re``
+    cannot find it where the shorter one is not."""
+    return tuple(sorted(s for s in literals
+                        if not any(t != s and t in s for t in literals)))
+
+
+def _prefilter(rx: re.Pattern, literals: tuple[str, ...]) -> re.Pattern | None:
+    """rx's required literals as one pattern compiled with rx's own flags,
+    so that it finds a literal wherever rx's match has one (case folding
+    included); None when rx has no required literal."""
     if not literals:
         return None
-    kept = sorted(s for s in literals
-                  if not any(t != s and t in s for t in literals))
-    return re.compile("|".join(map(re.escape, kept)), rx.flags)
+    return re.compile("|".join(map(re.escape, literals)), rx.flags)
+
+
+def _gate(compiled: Sequence[re.Pattern], literals: Sequence[tuple[str, ...]]
+          ) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+    """The pooled literals of the case-insensitive patterns, lowercased,
+    and of the others; None unless every pattern has literals, all ASCII."""
+    if not all(lits and "".join(lits).isascii() for lits in literals):
+        return None
+    folded, exact = set(), set()
+    for rx, lits in zip(compiled, literals):
+        if rx.flags & re.IGNORECASE:
+            folded.update(s.lower() for s in lits)
+        else:
+            exact.update(lits)
+    return _pruned(folded), _pruned(exact)
+
+
+def _compile_rule(rule: LabelRule) -> re.Pattern:
+    try:
+        return re.compile(rule.pattern, 0 if rule.case_sensitive else re.IGNORECASE)
+    except re.error as exc:
+        raise PatternError(
+            f"rule {rule.target.label} (priority {rule.priority}) "
+            f"does not compile: {exc}"
+        ) from exc
 
 
 def compile_ruleset(rules: Sequence[LabelRule]) -> Ruleset:
@@ -162,18 +184,12 @@ def compile_ruleset(rules: Sequence[LabelRule]) -> Ruleset:
         dupes = sorted({p for p in priorities if priorities.count(p) > 1})
         raise ConfigError(f"duplicate rule priorities: {dupes}")
     ordered = tuple(sorted(rules, key=lambda r: r.priority))
-    compiled = []
-    for rule in ordered:
-        flags = 0 if rule.case_sensitive else re.IGNORECASE
-        try:
-            compiled.append(re.compile(rule.pattern, flags))
-        except re.error as exc:
-            raise PatternError(
-                f"rule {rule.target.label} (priority {rule.priority}) "
-                f"does not compile: {exc}"
-            ) from exc
-    return Ruleset(rules=ordered, compiled=tuple(compiled),
-                   prefilters=tuple(map(_prefilter, compiled)))
+    compiled = tuple(map(_compile_rule, ordered))
+    literals = [_pruned(_required_literals(_sre_parse.parse(rx.pattern, rx.flags))
+                        or set()) for rx in compiled]
+    return Ruleset(rules=ordered, compiled=compiled,
+                   prefilters=tuple(map(_prefilter, compiled, literals)),
+                   gate=_gate(compiled, literals))
 
 
 def parse_ruleset_text(text: str, origin: str = "<string>") -> Ruleset:
@@ -199,17 +215,27 @@ def parse_ruleset_text(text: str, origin: str = "<string>") -> Ruleset:
             priority = int(prio_token)
         except ValueError:
             raise ConfigError(f"{origin}:{lineno}: bad priority {prio_token!r}") from None
-        rules.append(LabelRule(
+        rule = LabelRule(
             target=EpidemicClass.from_label(cls_token),
             pattern=pattern.strip(),
             case_sensitive=cs_token == "1",
             priority=priority,
-        ))
+        )
+        try:
+            _compile_rule(rule)
+        except PatternError as exc:
+            raise PatternError(f"{origin}:{lineno}: {exc}") from exc
+        rules.append(rule)
     return compile_ruleset(rules)
 
 
 def load_ruleset(path: str | Path) -> Ruleset:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path}: not valid UTF-8 at byte {exc.start} ({exc.reason})"
+        ) from None
     return parse_ruleset_text(text, origin=str(path))
 
 
@@ -231,9 +257,17 @@ def default_ruleset() -> Ruleset:
 def match_rules(ruleset: Ruleset, text: str) -> tuple[LabelRule, ...]:
     """All rules matching anywhere in text, in priority order.
 
-    A rule's full pattern runs only on a text in which its prefilter
-    finds one of the rule's required literals; the result is the same as
-    searching every rule's pattern."""
+    An ASCII text that holds none of the gate's literals, the lowercased
+    ones in the lowercased text, matches no rule: on ASCII text and
+    literals, ``re.IGNORECASE`` is ASCII case equality. Otherwise a rule's
+    pattern runs only where its prefilter finds a literal. The result is
+    that of searching every rule's pattern."""
+    gate = ruleset.gate
+    if gate is not None and text.isascii():
+        lowered = text.lower()
+        if not (any(map(lowered.__contains__, gate[0]))
+                or any(map(text.__contains__, gate[1]))):
+            return ()
     return tuple(
         rule for rule, rx, pre in zip(ruleset.rules, ruleset.compiled,
                                       ruleset.prefilters)
@@ -267,12 +301,6 @@ def resolve_label(
     if policy == "priority":
         return matched[0].target
     return None
-
-
-def assign_label(
-    ruleset: Ruleset, text: str, policy: str = "exclude"
-) -> EpidemicClass | None:
-    return resolve_label(match_rules(ruleset, text), policy)
 
 
 @dataclass(frozen=True, slots=True)
@@ -325,28 +353,17 @@ def _reservoir_negatives(
     ]
 
 
-def _match_chunk(ruleset: Ruleset, texts: Sequence[str]) -> list[tuple[int, ...]]:
-    """For each text, the positions in ``ruleset.rules`` of the rules it
-    matches; small integers are what a worker process sends back."""
-    position = {rule: i for i, rule in enumerate(ruleset.rules)}
-    return [tuple(position[r] for r in match_rules(ruleset, t)) for t in texts]
-
-
 def label_documents(
     docs: Iterable[NormalizedDocument],
     ruleset: Ruleset,
     included: Iterable[EpidemicClass],
     policy: str = "exclude",
     seed: int = 0,
-    threads: int = 1,
 ) -> tuple[SilverDataset, dict]:
-    """Match each document against the rules once and build the balanced
-    silver dataset from the documents that resolve to an included class
-    and as many negatives, drawn as ``sample_negatives`` draws them.
-
-    With threads > 1, that many worker processes match chunks of
-    LABEL_CHUNK texts; resolving, counting and sampling stay here, in
-    document order, so the result does not depend on the count.
+    """Match each document against the rules once, in this process, and
+    build the balanced silver dataset from the documents that resolve to
+    an included class and as many negatives, drawn as
+    ``sample_negatives`` draws them.
 
     Also returns the counts ``matched`` (per resolved class),
     ``ambiguous_excluded`` and ``unmatched``; they sum to len(docs).
@@ -355,17 +372,12 @@ def label_documents(
     included = tuple(included)
     if not included:
         raise ConfigError("included class list is empty")
-    docs = list(docs)
-    texts = [doc.text for doc in docs]
-    chunks = [texts[i:i + LABEL_CHUNK] for i in range(0, len(texts), LABEL_CHUNK)]
-    hits = chain.from_iterable(
-        ordered_map(partial(_match_chunk, ruleset), chunks, threads))
     positives: dict[EpidemicClass, list[LabeledExample]] = {c: [] for c in included}
     pool: list[NormalizedDocument] = []
     matched: dict[str, int] = {}
     ambiguous = 0
-    for doc, positions in zip(docs, hits):
-        rules = tuple(ruleset.rules[i] for i in positions)
+    for doc in docs:
+        rules = match_rules(ruleset, doc.text)
         label = resolve_label(rules, policy)
         if label is not None:
             matched[label.label] = matched.get(label.label, 0) + 1

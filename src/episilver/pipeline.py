@@ -148,7 +148,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     with stage("label"):
         dataset, manifest["stages"]["label"] = label_documents(
             docs, ruleset, config.included_classes, config.policy,
-            seeds["negatives"], config.threads,
+            seeds["negatives"],
         )
     timings["label"] = time.perf_counter() - t0
 

@@ -1,6 +1,5 @@
-"""One ordered map over worker processes, shared by the stages that need
-only the standard library: ingest (a task per file) and labeling (a task
-per chunk of texts)."""
+"""One ordered map over worker processes, for ingest (a task per file),
+which needs only the standard library."""
 
 from __future__ import annotations
 

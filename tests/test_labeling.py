@@ -17,7 +17,6 @@ from episilver.labeling import (
     LabeledExample,
     LabelRule,
     SilverDataset,
-    assign_label,
     build_silver_dataset,
     compile_ruleset,
     default_ruleset,
@@ -28,6 +27,7 @@ from episilver.labeling import (
     parse_ruleset_text,
     read_dataset_tsv,
     read_tsv,
+    resolve_label,
     sample_negatives,
     write_dataset_tsv,
 )
@@ -203,36 +203,86 @@ class TestPrefilter:
             assert match_rules(rs, text) == _unfiltered(rs, text), (specs, text)
 
 
+# Texts of ASCII characters only, which the gate of match_rules reads:
+# both cases, digits, '#', whitespace and the grammar's ASCII literals.
+_ASCII_TEXTS = st.lists(
+    st.sampled_from(["a", "A", "s", "S", "k", "K", "i", "I", "h", "H", "v",
+                     "V", "c", "0", "9", "#", " ", "\t", "\n", "hiv", "HIV",
+                     "Hiv", "sars", "SaRs", "kill", "KILL", "ss", "SS"]),
+    max_size=12,
+).map("".join)
+
+
+class TestGate:
+    def test_default_ruleset_gate(self):
+        assert default_ruleset().gate == (
+            ("cholera", "ebola", "flu", "h1n1", "hiv", "mers", "sars",
+             "swine", "yellow"),
+            ("AIDS",),
+        )
+
+    @pytest.mark.parametrize("pattern,text", [
+        (r"[0-9]+", "season of 2009"),
+        (r"\bgrippé\b", "la grippé"),
+    ])
+    def test_gate_off(self, pattern, text):
+        rs = compile_ruleset([LabelRule(EC.CHOLERA, r"\bcholera\b", False, 0),
+                              LabelRule(EC.FLU, pattern, False, 1)])
+        assert rs.gate is None
+        assert match_rules(rs, text) == _unfiltered(rs, text) == rs.rules[1:]
+
+    def test_case_scoped_literals_follow_the_pattern_flags(self):
+        rs = compile_ruleset([LabelRule(EC.SWINE_FLU, r"\bSwine(?i:\s*flu)\b", True, 0),
+                              LabelRule(EC.HIV_AIDS, r"(?i)\bHIV\b", True, 1),
+                              LabelRule(EC.MERS, r"\bMERS\b", False, 2)])
+        assert rs.gate == (("hiv", "mers"), ("Swine",))
+        assert match_rules(rs, "HIV and Mers") == rs.rules[1:]
+        assert match_rules(rs, "swine FLU") == ()
+
+    @settings(max_examples=400, deadline=None)
+    @given(_RULES, st.lists(_ASCII_TEXTS, min_size=1, max_size=8))
+    def test_gate_never_changes_the_match_on_ascii_text(self, specs, texts):
+        rs = compile_ruleset([LabelRule(EC.FLU, pattern, case_sensitive, i)
+                              for i, (pattern, case_sensitive) in enumerate(specs)])
+        for text in texts:
+            assert match_rules(rs, text) == _unfiltered(rs, text), (specs, text)
+
+
 class TestAssignLabel:
+    """resolve_label over match_rules: the label of one text."""
+
     def test_priority_resolves_swine_flu(self):
-        assert assign_label(default_ruleset(), "Swine flu cases rising",
-                            "priority") == EC.SWINE_FLU
+        assert resolve_label(match_rules(default_ruleset(), "Swine flu cases rising"),
+                             "priority") == EC.SWINE_FLU
 
     def test_exclude_drops_multi_match(self):
-        assert assign_label(default_ruleset(), "ebola and cholera in the news",
-                            "exclude") is None
+        assert resolve_label(
+            match_rules(default_ruleset(), "ebola and cholera in the news"),
+            "exclude") is None
 
     def test_no_match(self):
-        assert assign_label(default_ruleset(), "no health terms here") is None
+        assert resolve_label(match_rules(default_ruleset(), "no health terms here")) is None
 
     def test_unknown_policy(self):
         with pytest.raises(ConfigError):
-            assign_label(default_ruleset(), "flu", "vote")
+            resolve_label(match_rules(default_ruleset(), "flu"), "vote")
 
     def test_single_class_via_two_rules(self):
         # hiv and AIDS both map to hiv_aids: one distinct class, no exclusion
-        assert assign_label(default_ruleset(), "HIV and AIDS research") == EC.HIV_AIDS
+        assert resolve_label(
+            match_rules(default_ruleset(), "HIV and AIDS research")) == EC.HIV_AIDS
 
     @given(st.text(alphabet=st.sampled_from(list("abceflorsuv #AIDS")), max_size=40))
     def test_label_is_drawn_from_match_set(self, text):
         rs = default_ruleset()
         matches = match_classes(rs, text)
         for policy in ("exclude", "priority"):
-            label = assign_label(rs, text, policy)
+            label = resolve_label(match_rules(rs, text), policy)
             if label is not None:
                 assert label in matches
-        assert (assign_label(rs, text, "priority") is None) == (not matches)
-        assert (assign_label(rs, text, "exclude") is None) == (len(matches) != 1)
+        assert (resolve_label(match_rules(rs, text), "priority") is None) == (not matches)
+        assert (resolve_label(match_rules(rs, text), "exclude") is None) \
+            == (len(matches) != 1)
 
 
 def _doc_stream(texts):

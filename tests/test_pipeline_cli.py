@@ -35,12 +35,11 @@ def small_corpus(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def large_corpus(small_corpus, tmp_path_factory):
-    """The small corpus plus a file of background documents: two files and
-    more documents than one labeling task holds, so that threads > 1 runs
-    both ingest and labeling in worker processes."""
+    """The small corpus plus a file of background documents: two files, so
+    that threads > 1 runs ingest in worker processes."""
     path = tmp_path_factory.mktemp("corpus") / "background.jsonl"
     spec = SynthSpec(
-        class_counts={EC.CHOLERA: 20, EC.NON_EPIDEMIC: labeling.LABEL_CHUNK + 500},
+        class_counts={EC.CHOLERA: 20, EC.NON_EPIDEMIC: 4596},
         seed=24,
     )
     write_corpus(spec, str(path))
@@ -120,7 +119,6 @@ class TestRunPipeline:
                 threads=threads))
             for threads in (1, 4)
         )
-        assert a.manifest["stages"]["ingest"]["documents"] > labeling.LABEL_CHUNK
         assert (a.out_dir / "dataset.tsv").read_bytes() == \
             (b.out_dir / "dataset.tsv").read_bytes()
         for name in ("ingest", "label"):
@@ -180,8 +178,8 @@ def small_docs(small_corpus, tmp_path_factory):
 
 
 class TestWorkerProcesses:
-    """`--threads N` runs ingest and labeling in N worker processes; the
-    outputs must be the bytes that one process writes."""
+    """`--threads N` runs ingest in N worker processes; the outputs must be
+    the bytes that one process writes."""
 
     def test_ingest_does_not_depend_on_threads(self, large_corpus, tmp_path):
         outputs = {}
@@ -191,45 +189,6 @@ class TestWorkerProcesses:
                          "--threads", threads, "--stats", str(stats)]) == 0
             outputs[threads] = (docs.read_bytes(), stats.read_bytes())
         assert outputs["1"] == outputs["2"]
-
-    def test_label_does_not_depend_on_threads(self, large_corpus, tmp_path):
-        docs = tmp_path / "docs.tsv"
-        assert main(["ingest", "--input", *large_corpus, "--out", str(docs),
-                     "--threads", "1"]) == 0
-        assert len(docs.read_text(encoding="utf-8").splitlines()) - 1 \
-            > labeling.LABEL_CHUNK
-        outputs = {}
-        for threads in ("1", "2"):
-            dataset, stats = tmp_path / f"ds-{threads}.tsv", tmp_path / f"{threads}.json"
-            assert main(["label", "--input", str(docs), "--out", str(dataset),
-                         "--seed", "5", "--threads", threads,
-                         "--stats", str(stats)]) == 0
-            outputs[threads] = (dataset.read_bytes(), stats.read_bytes())
-        assert outputs["1"] == outputs["2"]
-
-    def test_custom_ruleset_does_not_depend_on_threads(self, large_corpus, tmp_path):
-        # a rule with a prefilter, one without a required literal and a
-        # case-sensitive one with a case-insensitive group
-        rules = tmp_path / "rules.tsv"
-        rules.write_text("cholera\t0\t0\t\\bcholera\\b\n"
-                         "mers\t1\t1\t[#\\s][mM][eE][rR][sS]\\b\n"
-                         "swine_flu\t1\t2\t\\bSwine(?i:\\s*flu)\\b\n", encoding="utf-8")
-        prefilters = labeling.load_ruleset(rules).prefilters
-        assert [p and (p.pattern, p.flags & re.IGNORECASE) for p in prefilters] \
-            == [("cholera", re.IGNORECASE), None, ("Swine", 0)]
-        docs = tmp_path / "docs.tsv"
-        assert main(["ingest", "--input", *large_corpus, "--out", str(docs),
-                     "--threads", "1"]) == 0
-        outputs = {}
-        for threads in ("1", "2"):
-            dataset, stats = tmp_path / f"ds-{threads}.tsv", tmp_path / f"{threads}.json"
-            assert main(["label", "--input", str(docs), "--out", str(dataset),
-                         "--ruleset", str(rules), "--threads", threads,
-                         "--stats", str(stats)]) == 0
-            outputs[threads] = (dataset.read_bytes(), stats.read_bytes())
-        assert outputs["1"] == outputs["2"]
-        assert set(json.loads(outputs["1"][1])["matched"]) \
-            == {"cholera", "mers", "swine_flu"}
 
 
 class TestOneLabelingPath:
@@ -252,6 +211,40 @@ class TestOneLabelingPath:
         assert {k: label_stats[k] for k in manifest["label"]} == manifest["label"]
         assert label_stats["class_counts"] == manifest["dataset"]["class_counts"]
         assert label_stats["total"] == manifest["dataset"]["total"]
+
+    # A rule with a prefilter, a case-sensitive one with a case-insensitive
+    # group, and a mers rule: without a required literal, which turns the
+    # gate off, or with one.
+    @pytest.mark.parametrize("mers_rule, mers_prefilter, gate", [
+        ("1\t1\t[#\\s][mM][eE][rR][sS]\\b", None, None),
+        ("0\t1\t[#\\s]mers\\b", ("mers", re.IGNORECASE),
+         (("cholera", "mers"), ("Swine",))),
+    ], ids=["ungated", "gated"])
+    def test_custom_ruleset_label_reproduces_run(
+            self, large_corpus, tmp_path, mers_rule, mers_prefilter, gate):
+        rules = tmp_path / "rules.tsv"
+        rules.write_text("cholera\t0\t0\t\\bcholera\\b\n"
+                         f"mers\t{mers_rule}\n"
+                         "swine_flu\t1\t2\t\\bSwine(?i:\\s*flu)\\b\n", encoding="utf-8")
+        ruleset = labeling.load_ruleset(rules)
+        assert [p and (p.pattern, p.flags & re.IGNORECASE) for p in ruleset.prefilters] \
+            == [("cholera", re.IGNORECASE), mers_prefilter, ("Swine", 0)]
+        assert ruleset.gate == gate
+        result = run_pipeline(small_config(
+            large_corpus[0], tmp_path / "run", inputs=large_corpus,
+            ruleset_path=str(rules), model_kinds=("tree",)))
+        docs, dataset, stats = (tmp_path / name for name in
+                                ("docs.tsv", "dataset.tsv", "label.json"))
+        assert main(["ingest", "--input", *large_corpus, "--out", str(docs),
+                     "--threads", "1"]) == 0
+        assert main(["label", "--input", str(docs), "--out", str(dataset),
+                     "--ruleset", str(rules), "--seed", "99",
+                     "--stats", str(stats)]) == 0
+        assert dataset.read_bytes() == result.dataset_path.read_bytes()
+        label_stats = json.loads(stats.read_text())
+        manifest = result.manifest["stages"]["label"]
+        assert {k: label_stats[k] for k in manifest} == manifest
+        assert set(label_stats["matched"]) == {"cholera", "mers", "swine_flu"}
 
     @pytest.mark.parametrize("command", ["label", "run"])
     def test_each_document_is_matched_once(
@@ -354,8 +347,9 @@ class TestCli:
                                     capsys, command, classes):
         source = small_corpus if command == "run" else str(small_docs)
         out = tmp_path / "o"
+        threads = ["--threads", "1"] if command == "run" else []
         code = main([command, "--input", source, "--out", str(out),
-                     "--classes", classes, "--threads", "1"])
+                     "--classes", classes, *threads])
         assert code == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "ConfigError"
@@ -371,7 +365,8 @@ class TestCli:
         source.write_bytes(original)
         outputs = {"--out": str(tmp_path / "out.tsv"),
                    "--stats": str(tmp_path / "stats.json"), flag: str(source)}
-        code = main([command, "--input", str(source), "--threads", "1",
+        threads = ["--threads", "1"] if command == "ingest" else []
+        code = main([command, "--input", str(source), *threads,
                      *(arg for item in outputs.items() for arg in item)])
         assert code == 2
         (line,) = capsys.readouterr().err.splitlines()
@@ -379,12 +374,11 @@ class TestCli:
         assert source.read_bytes() == original
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
-    @pytest.mark.parametrize("command", ["ingest", "label"])
+    @pytest.mark.parametrize("command", ["ingest", "run"])
     def test_threads_below_one_exit_2(
-            self, small_corpus, small_docs, tmp_path, capsys, command, threads):
-        source = small_corpus if command == "ingest" else str(small_docs)
-        out = tmp_path / "out.tsv"
-        code = main([command, "--input", source, "--out", str(out),
+            self, small_corpus, tmp_path, capsys, command, threads):
+        out = tmp_path / "out"
+        code = main([command, "--input", small_corpus, "--out", str(out),
                      "--threads", threads])
         assert code == 2
         (line,) = capsys.readouterr().err.splitlines()
@@ -392,6 +386,22 @@ class TestCli:
         assert (record["stage"], record["error"]) == (command, "ConfigError")
         assert f"got {threads}" in record["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("damage, code, names", [
+        (b"cholera\t0\t0\t\\bcholera\\b\nebola\t0\t1\t\\beb\xffola\n", 3,
+         "{path}: not valid UTF-8 at byte 38"),
+        (b"# rules\ncholera\t0\t0\t([\n", 2, "{path}:2: rule cholera"),
+    ], ids=["undecodable", "bad-pattern"])
+    @pytest.mark.parametrize("command", ["label", "run"])
+    def test_ruleset_error_names_the_file(self, small_corpus, small_docs, tmp_path,
+                                          capsys, command, damage, code, names):
+        rules = tmp_path / "rules.tsv"
+        rules.write_bytes(damage)
+        source = small_corpus if command == "run" else str(small_docs)
+        assert main([command, "--input", source, "--out", str(tmp_path / "o"),
+                     "--ruleset", str(rules)]) == code
+        (line,) = capsys.readouterr().err.splitlines()
+        assert names.format(path=rules) in json.loads(line)["message"]
 
     @pytest.mark.parametrize("command", ["run", "train", "eval"])
     def test_bad_ratio_exits_2(self, small_corpus, default_run, tmp_path,
