@@ -59,7 +59,12 @@ class PipelineConfig:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
     def as_dict(self) -> dict:
-        return {**asdict(self),
+        """The configuration as JSON values, without `threads`: the worker
+        count says how ingest ran, not what the run computed, so it stays
+        out of this record and of `config_hash`."""
+        fields = asdict(self)
+        del fields["threads"]
+        return {**fields,
                 "included_classes": [c.label for c in self.included_classes]}
 
 

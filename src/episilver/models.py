@@ -1,12 +1,18 @@
 """Classifiers over the CSR rows that `features.transform` returns, taken
 as they are, plus stratified splitting.
 
-All three trainers are deterministic: the linear models take full-batch
-L-BFGS directions with Armijo backtracking from zero initialization and
-report whether they reached the gradient-norm tolerance, and the tree
-isolates its randomness in per-node feature sampling driven by one
-seed. Their dot products do not depend on the BLAS thread count. That
-makes every reported number exactly reproducible.
+All three trainers are deterministic. The linear models start from zero
+and take truncated Newton steps (`_newton`): conjugate gradient on
+Hessian-vector products solves H d = -g until the residual is at most
+0.1 |g| min(1, |g|), and Armijo backtracking from t = 1 accepts each
+step, so the loss history never increases. For the squared hinge this
+is L2-SVM-MFN (Keerthi & DeCoste 2005), for the multinomial loss the
+Newton method of LIBLINEAR (Lin, Weng & Keerthi 2008) with a line search
+in place of the trust region. They report whether the gradient norm
+reached the tolerance. The tree isolates its randomness in per-node
+feature sampling driven by one seed. The solvers' dot products do not
+depend on the BLAS thread count. That makes every reported number
+exactly reproducible.
 
 The tree's split search reads only the stored entries of the sampled
 CSC columns: one sort per node covers all its sampled features, with
@@ -43,8 +49,7 @@ from .labeling import EpidemicClass
 
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 80
-LBFGS_MEMORY = 10  # (s, y) pairs kept by the L-BFGS direction
-PAIR_CURVATURE_MIN = 1e-10  # a pair with s'y <= this * y'y is skipped
+MAX_CG_STEPS = 100  # Hessian-vector products per Newton step, at most
 GAIN_EPSILON = 1e-12
 
 
@@ -141,35 +146,77 @@ def squared_hinge_loss_grad(
     return loss, grad_w, grad_b
 
 
-def _descend(
+def logistic_hessian_product(
+    weights: np.ndarray,
+    bias: np.ndarray,
+    X: sparse.csr_matrix,
+    strength: float,
+) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """(V_W, v_b) -> H (V_W, v_b) for the logistic objective's Hessian at
+    (weights, bias). With P = softmax(XW + b) fixed and Z = X V_W + v_b,
+    M = P*Z - P*rowsum(P*Z); the product is (X'M + V_W / s, colsum(M))."""
+    probs = softmax(np.asarray(X @ weights + bias))
+
+    def product(vw: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pz = probs * (X @ vw + vb)
+        m = pz - probs * pz.sum(axis=1, keepdims=True)
+        return np.asarray(X.T @ m) + vw / strength, m.sum(axis=0)
+    return product
+
+
+def squared_hinge_hessian_product(
+    w: np.ndarray,
+    b: float,
+    X: sparse.csr_matrix,
+    y_pm: np.ndarray,
+    strength: float,
+) -> Callable[[np.ndarray, float], tuple[np.ndarray, float]]:
+    """(v_w, v_b) -> H (v_w, v_b) for the generalized Hessian of the squared
+    hinge at (w, b) (Keerthi & DeCoste 2005). With the rows of positive
+    slack A fixed and z = 2 (X_A v_w + v_b), the product is
+    (X_A'z + v_w / s, sum(z))."""
+    active = X[1.0 - y_pm * (X @ w + b) > 0.0]
+
+    def product(vw: np.ndarray, vb: float) -> tuple[np.ndarray, float]:
+        z = 2.0 * (active @ vw + vb)
+        return np.asarray(active.T @ z) + vw / strength, float(z.sum())
+    return product
+
+
+def _newton(
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    hessian_product: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
     theta: np.ndarray,
     max_iter: int,
     tol: float,
-) -> tuple[np.ndarray, list[float], int, bool, float]:
-    """L-BFGS directions with Armijo backtracking line search.
+) -> tuple[np.ndarray, list[float], int, bool, float, int]:
+    """Truncated Newton steps with Armijo backtracking line search.
 
-    The direction d comes from the two-loop recursion over the last
-    LBFGS_MEMORY (s, y) pairs (Liu & Nocedal 1989), scaled by s'y / y'y;
-    with no pairs it is -g / |g|, and it falls back to -g when it is not
-    a descent direction. Backtracking from t = 1 accepts the first step
-    with f(theta + t d) <= f(theta) + c t g'd, so the recorded loss
-    history is non-increasing by construction. Stops at max_iter, at
-    gradient norm <= tol, or when no acceptable step exists. Returns
-    (theta, loss history, iterations, converged, final gradient norm),
-    where converged means the gradient norm reached tol.
+    Each step solves H d = -g by conjugate gradient from d = 0, with H the
+    Hessian (generalized, for the squared hinge) that
+    `hessian_product(theta)` fixes at the current point and applies as
+    v -> Hv. CG stops once the residual is <= 0.1 |g| min(1, |g|), on
+    p'Hp <= 0, or after MAX_CG_STEPS products; d falls back to -g when it
+    is not a descent direction. Backtracking from t = 1 accepts the first
+    step with f(theta + t d) <= f(theta) + c t g'd, so the recorded loss
+    history is non-increasing by construction. Stops at max_iter Newton
+    steps, at gradient norm <= tol, or when no acceptable step exists.
+    Returns (theta, loss history, Newton steps, converged, final gradient
+    norm, Hessian-vector products), where converged means the gradient
+    norm reached tol.
     """
     loss, grad = value_and_grad(theta)
     if not math.isfinite(loss):
         raise DivergenceError(f"non-finite initial loss {loss}")
     history = [loss]
-    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
     gnorm = math.sqrt(_dot(grad, grad))
-    iterations = 0
+    iterations = products = 0
     for _ in range(max_iter):
         if gnorm <= tol:
             break
-        direction = _lbfgs_direction(grad, gnorm, pairs)
+        direction, used = _conjugate_gradient(
+            hessian_product(theta), grad, gnorm)
+        products += used
         slope = _dot(grad, direction)
         if not slope < 0.0:
             direction, slope = -grad, -gnorm * gnorm
@@ -184,39 +231,39 @@ def _descend(
             step *= 0.5
         if not accepted:
             break
-        s, y = trial - theta, trial_grad - grad
-        sy = _dot(s, y)
-        if sy > PAIR_CURVATURE_MIN * _dot(y, y):
-            pairs.append((s, y, 1.0 / sy))
-            del pairs[:-LBFGS_MEMORY]
         theta, loss, grad = trial, trial_loss, trial_grad
         gnorm = math.sqrt(_dot(grad, grad))
         history.append(loss)
         iterations += 1
     if not math.isfinite(loss):
         raise DivergenceError(f"non-finite loss {loss}")
-    return theta, history, iterations, gnorm <= tol, gnorm
+    return theta, history, iterations, gnorm <= tol, gnorm, products
 
 
-def _lbfgs_direction(
-    grad: np.ndarray,
-    gnorm: float,
-    pairs: list[tuple[np.ndarray, np.ndarray, float]],
-) -> np.ndarray:
-    """-H g for the L-BFGS inverse-Hessian estimate H (two-loop recursion)."""
-    if not pairs:
-        return -grad / gnorm
-    q = grad.copy()
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        alpha = rho * _dot(s, q)
-        q -= alpha * y
-        alphas.append(alpha)
-    s, y, rho = pairs[-1]
-    q *= 1.0 / (rho * _dot(y, y))
-    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * _dot(y, q)) * s
-    return -q
+def _conjugate_gradient(
+    hess: Callable[[np.ndarray], np.ndarray], grad: np.ndarray, gnorm: float
+) -> tuple[np.ndarray, int]:
+    """Approximate solution d of H d = -g from d = 0, and the number of
+    Hessian-vector products taken (see `_newton` for the stops)."""
+    d = np.zeros_like(grad)
+    r = -grad
+    p = r.copy()
+    rr = gnorm * gnorm
+    stop = 0.1 * gnorm * min(1.0, gnorm)
+    for k in range(1, MAX_CG_STEPS + 1):
+        hp = hess(p)
+        curvature = _dot(p, hp)
+        if not curvature > 0.0:
+            return d, k
+        alpha = rr / curvature
+        d += alpha * p
+        r -= alpha * hp
+        rr_next = _dot(r, r)
+        if math.sqrt(rr_next) <= stop:
+            return d, k
+        p = r + (rr_next / rr) * p
+        rr = rr_next
+    return d, MAX_CG_STEPS
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,7 +282,8 @@ class LinearModel:
     class_order: tuple[EpidemicClass, ...]
     hyperparams: LinearHyperparams
     dim: int
-    n_iter: int = 0
+    n_iter: int = 0  # Newton steps; for one-vs-rest, summed over the classes
+    cg_products: int = 0  # Hessian-vector products, summed the same way
     # gradient norm reached tol; for one-vs-rest, in every class's run
     converged: bool = False
     # final gradient norm; for one-vs-rest, the largest over the classes
@@ -272,23 +320,33 @@ def train_logistic(
     class_order, y_idx = _class_setup(y)
     dim, n_classes = X.shape[1], len(class_order)
 
+    def unpack(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return theta[: dim * n_classes].reshape(dim, n_classes), theta[dim * n_classes:]
+
+    def pack(w: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.concatenate([w.ravel(), b])
+
     def packed(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        w = theta[: dim * n_classes].reshape(dim, n_classes)
-        b = theta[dim * n_classes:]
-        loss, gw, gb = logistic_loss_grad(w, b, X, y_idx, hp.strength)
-        return loss, np.concatenate([gw.ravel(), gb])
+        loss, gw, gb = logistic_loss_grad(*unpack(theta), X, y_idx, hp.strength)
+        return loss, pack(gw, gb)
+
+    def hessian(theta: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        product = logistic_hessian_product(*unpack(theta), X, hp.strength)
+        return lambda v: pack(*product(*unpack(v)))
 
     theta0 = np.zeros(dim * n_classes + n_classes)
-    theta, history, n_iter, converged, gnorm = _descend(
-        packed, theta0, hp.max_iter, hp.tol)
+    theta, history, n_iter, converged, gnorm, products = _newton(
+        packed, hessian, theta0, hp.max_iter, hp.tol)
+    weights, bias = unpack(theta)
     return LinearModel(
         kind="logistic",
-        weights=theta[: dim * n_classes].reshape(dim, n_classes),
-        bias=theta[dim * n_classes:],
+        weights=weights,
+        bias=bias,
         class_order=class_order,
         hyperparams=hp,
         dim=dim,
         n_iter=n_iter,
+        cg_products=products,
         converged=converged,
         final_grad_norm=gnorm,
         loss_histories=(tuple(history),),
@@ -308,7 +366,7 @@ def train_linear_svm(
     weights = np.zeros((dim, len(class_order)))
     bias = np.zeros(len(class_order))
     histories: list[tuple[float, ...]] = []
-    total_iter = 0
+    total_iter = total_products = 0
     converged = True
     max_gnorm = 0.0
     for c in range(len(class_order)):
@@ -320,13 +378,19 @@ def train_linear_svm(
             )
             return loss, np.append(gw, gb)
 
-        theta, history, n_iter, class_converged, gnorm = _descend(
-            packed, np.zeros(dim + 1), hp.max_iter, hp.tol
+        def hessian(theta: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+            product = squared_hinge_hessian_product(
+                theta[:dim], theta[dim], X, y_pm, hp.strength)
+            return lambda v: np.append(*product(v[:dim], v[dim]))
+
+        theta, history, n_iter, class_converged, gnorm, products = _newton(
+            packed, hessian, np.zeros(dim + 1), hp.max_iter, hp.tol
         )
         weights[:, c] = theta[:dim]
         bias[c] = theta[dim]
         histories.append(tuple(history))
         total_iter += n_iter
+        total_products += products
         converged = converged and class_converged
         max_gnorm = max(max_gnorm, gnorm)
     return LinearModel(
@@ -337,6 +401,7 @@ def train_linear_svm(
         hyperparams=hp,
         dim=dim,
         n_iter=total_iter,
+        cg_products=total_products,
         converged=converged,
         final_grad_norm=max_gnorm,
         loss_histories=tuple(histories),
@@ -564,13 +629,6 @@ def predict(
     return [model.class_order[i] for i in _argmax_rows(scores)]
 
 
-def predict_proba(model: LinearModel, X: sparse.csr_matrix) -> np.ndarray:
-    if model.kind != "logistic":
-        raise DataError(f"probabilities undefined for model kind {model.kind!r}")
-    _check_dim(X, model.dim)
-    return softmax(np.asarray(X @ model.weights + model.bias))
-
-
 def _predict_tree(model: TreeModel, X: sparse.csr_matrix) -> list[EpidemicClass]:
     """Route all rows at once: node by node in id order (children follow
     their parent), split each node's rows on one CSC column."""
@@ -617,6 +675,8 @@ def save_model(
     else:
         doc["kind"] = model.kind
         doc["n_iter"] = model.n_iter
+        doc["cg_products"] = model.cg_products
+        doc["loss_histories"] = [list(h) for h in model.loss_histories]
         doc["converged"] = model.converged
         doc["final_grad_norm"] = model.final_grad_norm
         doc["bias"] = model.bias.tolist()
@@ -686,6 +746,9 @@ def _model_from_doc(doc: dict) -> tuple[LinearModel | TreeModel, str]:
         kind=doc["kind"], weights=weights, bias=bias,
         class_order=class_order, hyperparams=hp, dim=dim,
         n_iter=int(doc.get("n_iter", 0)),
+        cg_products=int(doc.get("cg_products", 0)),
         converged=bool(doc.get("converged", False)),
         final_grad_norm=float(doc.get("final_grad_norm", math.inf)),
+        loss_histories=tuple(tuple(map(float, h))
+                             for h in doc.get("loss_histories", ())),
     ), checksum

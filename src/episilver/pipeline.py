@@ -127,6 +127,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         "stages": {},
         "artifacts": {},
         "timings": {},
+        "threads": config.threads,
     }
     timings = manifest["timings"]
 
@@ -203,6 +204,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
             manifest["stages"]["models"][kind] = {
                 "classes": [c.label for c in model.class_order],
                 "iterations": getattr(model, "n_iter", None),
+                "cg_products": getattr(model, "cg_products", None),
                 "converged": getattr(model, "converged", None),
                 "final_grad_norm": getattr(model, "final_grad_norm", None),
             }

@@ -25,11 +25,12 @@ from episilver.models import (
     TreeHyperparams,
     entropy_bits,
     load_model,
+    logistic_hessian_product,
     logistic_loss_grad,
     predict,
-    predict_proba,
     save_model,
     softmax,
+    squared_hinge_hessian_product,
     squared_hinge_loss_grad,
     stratified_split,
     train_decision_tree,
@@ -117,12 +118,11 @@ class TestSoftmax:
 
 
 def finite_difference(fun, theta, h=1e-5):
-    grad = np.zeros_like(theta)
-    for k in range(len(theta)):
-        e = np.zeros_like(theta)
-        e[k] = h
-        grad[k] = (fun(theta + e) - fun(theta - e)) / (2 * h)
-    return grad
+    """Central differences of fun along each coordinate, one row per
+    coordinate: the gradient of a scalar fun, or the derivatives of a
+    vector fun (row k approximates H e_k when fun is a gradient)."""
+    return np.array([(fun(theta + e) - fun(theta - e)) / (2 * h)
+                     for e in h * np.eye(len(theta))])
 
 
 class TestGradients:
@@ -170,6 +170,62 @@ class TestGradients:
             assert rel <= 1e-5
 
 
+class TestHessianProducts:
+    """Each Hessian-vector product against central differences of the
+    analytic gradient, at random points."""
+
+    def test_logistic_matches_gradient_differences(self):
+        rng = random.Random(7)
+        for _ in range(10):
+            n, dim, n_classes = rng.randint(3, 8), rng.randint(2, 5), rng.randint(2, 4)
+            mat = random_sparse(rng, n, dim)
+            y = np.array([rng.randrange(n_classes) for _ in range(n)])
+            theta = np.array([rng.gauss(0, 0.8)
+                              for _ in range((dim + 1) * n_classes)])
+            split = dim * n_classes
+
+            def grad(t):
+                _, gw, gb = logistic_loss_grad(
+                    t[:split].reshape(dim, n_classes), t[split:], mat, y, 0.7)
+                return np.concatenate([gw.ravel(), gb])
+
+            hv = logistic_hessian_product(
+                theta[:split].reshape(dim, n_classes), theta[split:], mat, 0.7)
+
+            def product(v):
+                hw, hb = hv(v[:split].reshape(dim, n_classes), v[split:])
+                return np.concatenate([hw.ravel(), hb])
+
+            fd = finite_difference(grad, theta)
+            analytic = np.array([product(e) for e in np.eye(len(theta))])
+            assert np.linalg.norm(fd - analytic) <= 1e-6 * np.linalg.norm(fd)
+
+    def test_squared_hinge_matches_gradient_differences_off_kink(self):
+        rng = random.Random(8)
+        checked = 0
+        for _ in range(40):
+            n, dim = rng.randint(3, 8), rng.randint(2, 6)
+            mat = random_sparse(rng, n, dim)
+            y_pm = np.array([rng.choice((-1.0, 1.0)) for _ in range(n)])
+            w = np.array([rng.gauss(0, 0.8) for _ in range(dim)])
+            b = rng.gauss(0, 0.8)
+            if np.abs(1.0 - y_pm * (mat @ w + b)).min() < 1e-3:
+                continue  # too close to the hinge kink for finite differences
+            theta = np.append(w, b)
+
+            def grad(t):
+                _, gw, gb = squared_hinge_loss_grad(t[:dim], t[dim], mat, y_pm, 0.7)
+                return np.append(gw, gb)
+
+            hv = squared_hinge_hessian_product(w, b, mat, y_pm, 0.7)
+            fd = finite_difference(grad, theta)
+            analytic = np.array([np.append(*hv(e[:dim], e[dim]))
+                                 for e in np.eye(dim + 1)])
+            assert np.linalg.norm(fd - analytic) <= 1e-6 * np.linalg.norm(fd)
+            checked += 1
+        assert checked >= 20
+
+
 TOY_X = csr_rows([unit(0), unit(1)], 2)
 TOY_Y = [EC.CHOLERA, EC.EBOLA]
 
@@ -183,7 +239,7 @@ class TestLogistic:
         X = csr_rows([unit(i % 3) for i in range(10)], 3)
         y = [EC(i % 5) for i in range(10)]
         model = train_logistic(X, y, LinearHyperparams(max_iter=0))
-        probs = predict_proba(model, X)
+        probs = softmax(X @ model.weights + model.bias)
         assert np.allclose(probs, 0.2)
 
     def test_loss_history_non_increasing(self):
@@ -283,6 +339,9 @@ class TestConvergence:
         assert (loaded.n_iter, loaded.converged, loaded.final_grad_norm) == (
             model.n_iter, model.converged, model.final_grad_norm)
         assert not loaded.converged
+        assert loaded.cg_products == model.cg_products > 0
+        assert loaded.loss_histories == model.loss_histories
+        assert all(2 <= len(h) <= 4 for h in loaded.loss_histories)
 
 
 # Trains both linear models on a problem whose solver vectors have more

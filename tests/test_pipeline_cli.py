@@ -123,6 +123,13 @@ class TestRunPipeline:
             (b.out_dir / "dataset.tsv").read_bytes()
         for name in ("ingest", "label"):
             assert a.manifest["stages"][name] == b.manifest["stages"][name], name
+        # the worker count is recorded beside the timings, not in the config
+        assert (a.manifest["threads"], b.manifest["threads"]) == (1, 4)
+        assert {k: v for k, v in a.manifest["config"].items() if k != "out_dir"} \
+            == {k: v for k, v in b.manifest["config"].items() if k != "out_dir"}
+        assert "threads" not in a.manifest["config"]
+        assert config_hash(small_config(large_corpus[0], "out", threads=1)) \
+            == config_hash(small_config(large_corpus[0], "out", threads=4))
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +172,22 @@ class TestOneTrainingPath:
             assert records[kind]["final_grad_norm"] <= hyperparams["tol"], kind
             assert 0 < records[kind]["iterations"] < 5 * hyperparams["max_iter"]
         tree = records["tree"]
-        assert tree["converged"] is tree["final_grad_norm"] is tree["iterations"] is None
+        assert tree["converged"] is tree["final_grad_norm"] is tree["iterations"] \
+            is tree["cg_products"] is None
+
+    def test_model_files_hold_monotone_loss_histories(self, default_run):
+        records = json.loads(
+            (default_run / "manifest.json").read_text())["stages"]["models"]
+        for kind, runs in (("logistic", 1), ("svm", 5)):
+            doc = json.loads((default_run / f"model-{kind}.json").read_text())
+            histories = doc["loss_histories"]
+            assert len(histories) == runs, kind
+            for hist in histories:
+                assert 2 <= len(hist) <= doc["hyperparams"]["max_iter"] + 1, kind
+                assert all(b <= a for a, b in zip(hist, hist[1:])), kind
+            assert doc["n_iter"] == sum(len(h) - 1 for h in histories), kind
+            assert records[kind]["cg_products"] == doc["cg_products"] \
+                >= doc["n_iter"], kind
 
 
 @pytest.fixture(scope="module")
