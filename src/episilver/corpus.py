@@ -13,9 +13,10 @@ import re
 import zlib
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import starmap
+from typing import NamedTuple
 
 from .errors import DataError, ParseError, SchemaError
 from .workers import ordered_map
@@ -57,8 +58,7 @@ EMOTICONS: frozenset[str] = frozenset({
 _RT_PREFIX = "RT @"
 
 
-@dataclass(frozen=True, slots=True)
-class TweetRecord:
+class TweetRecord(NamedTuple):
     """One parsed tweet. ``id`` is a non-empty decimal-digit string."""
 
     id: str
@@ -78,14 +78,14 @@ def _extract_id(obj: dict, source_tag: str) -> str:
     raw = obj.get("id_str")
     if raw is None:
         raw = obj.get("id")
+    if isinstance(raw, str) and raw.isascii() and raw.isdigit():  # the common shape
+        return raw
     if isinstance(raw, bool) or raw is None:
         raise SchemaError(f"missing tweet id in {source_tag}")
     if isinstance(raw, int):
         if raw < 0:
             raise SchemaError(f"negative tweet id {raw} in {source_tag}")
         return str(raw)
-    if isinstance(raw, str) and raw and raw.isascii() and raw.isdigit():
-        return raw
     raise SchemaError(f"tweet id {raw!r} is not a digit string in {source_tag}")
 
 
@@ -98,6 +98,27 @@ def _extract_text(obj: dict, source_tag: str) -> str:
     raise SchemaError(f"no usable text field in {source_tag}")
 
 
+# The scanner of a default JSONDecoder, bound once: it reads one JSON value
+# from a str. json.loads adds a BOM check and the whitespace around it.
+_scan_json = json.JSONDecoder().scan_once
+_JSON_SPACE = " \t\n\r"
+
+
+def _loads(line: str):
+    """``json.loads(line)``, result and errors alike. A line that is one
+    object between JSON whitespace skips json.loads's wrapping; any other
+    line, and any failure, goes through json.loads itself."""
+    if line.startswith("{"):
+        try:
+            obj, end = _scan_json(line, 0)
+        except (StopIteration, json.JSONDecodeError):
+            pass
+        else:
+            if not line[end:].strip(_JSON_SPACE):
+                return obj
+    return json.loads(line)
+
+
 def parse_record(line: str, source_tag: str, *, byte_offset: int = 0) -> TweetRecord:
     """Parse one JSON line into a TweetRecord.
 
@@ -106,7 +127,7 @@ def parse_record(line: str, source_tag: str, *, byte_offset: int = 0) -> TweetRe
     recoverable, the caller is expected to skip and count them.
     """
     try:
-        obj = json.loads(line)
+        obj = _loads(line)
     except json.JSONDecodeError as exc:
         offset = byte_offset + len(line[: exc.pos].encode("utf-8"))
         raise ParseError(f"malformed JSON in {source_tag}: {exc.msg}", offset) from exc
@@ -118,10 +139,7 @@ def parse_record(line: str, source_tag: str, *, byte_offset: int = 0) -> TweetRe
     if not isinstance(lang, str):
         lang = None
     is_retweet = "retweeted_status" in obj or text.startswith(_RT_PREFIX)
-    return TweetRecord(
-        id=tweet_id, text=text, lang=lang, is_retweet=is_retweet,
-        source_tag=source_tag,
-    )
+    return TweetRecord(tweet_id, text, lang, is_retweet, source_tag)
 
 
 def filter_original(record: TweetRecord, require_lang: str | None = None) -> bool:
@@ -138,8 +156,13 @@ def filter_original(record: TweetRecord, require_lang: str | None = None) -> boo
 
 
 def _normalize_pass(text: str) -> str:
-    text = URL_PATTERN.sub(" ", text)
-    text = EMOJI_PATTERN.sub("", text)
+    # Every URL_PATTERN match holds "://", "w." or "W.": under re.IGNORECASE
+    # no other character matches ":", "/" or ".", and only "W" matches "w".
+    # TestUrlGate ties these three to the pattern.
+    if "://" in text or "w." in text or "W." in text:
+        text = URL_PATTERN.sub(" ", text)
+    if not text.isascii():
+        text = EMOJI_PATTERN.sub("", text)
     tokens = [t for t in text.split() if t not in EMOTICONS]
     return " ".join(tokens)
 
@@ -148,14 +171,34 @@ def normalize_text(text: str) -> str:
     """Strip URLs, emoji codepoints and emoticon tokens; collapse whitespace.
 
     The pass order is URLs, then emoji, then emoticons, then whitespace
-    collapse and trim. The pass repeats until stable: a removal can
-    splice something new together (an emoji embedded inside a URL, an
-    emoticon assembled from stripped emoji), and the output must carry
-    none of the stripped constructs. Each changing pass strictly
-    shortens the string, so the loop terminates; a pass that changes
-    nothing ends it, since the pass is a pure function. May return "".
+    collapse and trim, and the output carries none of the stripped
+    constructs. The URL step runs only on text that holds "://", "w."
+    or "W.", one of which every match holds. Text that is ASCII after
+    the URL step skips the emoji step: every EMOJI_RANGES code point is
+    at or above U+200D.
+
+    One pass is enough unless the emoji step removed something:
+
+    - The URL step leaves no match behind. It replaces each match by a
+      space. A match holds no whitespace, so a match in the result would
+      lie in kept text, after the same character as before (a match ends
+      in a greedy run of non-whitespace, so kept text after one starts
+      with whitespace), and the step would have found a match there.
+    - The emoticon step and the whitespace collapse only drop or join
+      whole whitespace-delimited tokens. That makes no emoji, and no URL
+      either: a match lies inside one token, and a token's start stays
+      a word boundary.
+
+    Removing an emoji can splice a URL or an emoticon together
+    (``ht<emoji>tp://``). So a text that holds an emoji code point,
+    which covers every text whose emoji step removes one, repeats the
+    pass until it changes nothing. After the first pass, a pass that
+    changes the string removes characters, so the loop terminates. May
+    return "".
     """
     out = _normalize_pass(text)
+    if text.isascii() or EMOJI_PATTERN.search(text) is None:
+        return out
     while out != text:
         text, out = out, _normalize_pass(out)
     return out
@@ -180,6 +223,10 @@ def deduplicate(
     return kept, dropped
 
 
+# How many rejected lines an ingest run records, in file and line order.
+MAX_RECORDED_REJECTS = 20
+
+
 @dataclass
 class IngestStats:
     """Per-stage record accounting for one ingest run.
@@ -190,6 +237,10 @@ class IngestStats:
       originals = lang_filtered + kept
       kept = empty_after_normalize + normalized
       normalized = duplicates_removed + documents
+
+    ``rejects`` holds the first MAX_RECORDED_REJECTS rejected lines
+    (undecodable, malformed JSON or missing fields) as ``{"file",
+    "byte_offset", "reason"}``; the counts cover all of them.
     """
 
     files: int = 0
@@ -205,10 +256,17 @@ class IngestStats:
     normalized: int = 0
     duplicates_removed: int = 0
     documents: int = 0
+    rejects: list[dict] = field(default_factory=list)
 
     def merge(self, other: "IngestStats") -> None:
         for name in self.__dataclass_fields__:
             setattr(self, name, getattr(self, name) + getattr(other, name))
+        del self.rejects[MAX_RECORDED_REJECTS:]
+
+    def reject(self, path: str, byte_offset: int, reason: str) -> None:
+        if len(self.rejects) < MAX_RECORDED_REJECTS:
+            self.rejects.append(
+                {"file": path, "byte_offset": byte_offset, "reason": reason})
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -232,6 +290,7 @@ def parse_file(
     """Parse one archive file into the (id, normalized text) pairs of its
     documents (not deduplicated). Plain tuples, because a worker process
     sends them back: they pickle about five times faster than documents."""
+    path = str(path)
     stats = IngestStats(files=1)
     rows: list[tuple[str, str]] = []
     offset = 0
@@ -239,21 +298,24 @@ def parse_file(
         for raw in fh:
             line_offset = offset
             offset += len(raw)
-            if not raw.strip():
+            if raw.isspace():
                 continue
             stats.lines += 1
             try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError:
+                record = parse_record(raw.decode("utf-8"), path, byte_offset=line_offset)
+            except UnicodeDecodeError as exc:
                 stats.parse_errors += 1
+                stats.reject(path, line_offset + exc.start,
+                             f"undecodable UTF-8: {exc.reason}")
                 continue
-            try:
-                record = parse_record(line, str(path), byte_offset=line_offset)
-            except ParseError:
+            except ParseError as exc:
                 stats.parse_errors += 1
+                stats.reject(path, exc.byte_offset,
+                             f"malformed JSON: {exc.__cause__.msg}")
                 continue
-            except SchemaError:
+            except SchemaError as exc:
                 stats.schema_errors += 1
+                stats.reject(path, line_offset, str(exc).removesuffix(f" in {path}"))
                 continue
             stats.parsed += 1
             if record.is_retweet:
@@ -283,17 +345,20 @@ def ingest_files(
     With threads > 1, that many worker processes (at most one per file)
     parse the files, but results are merged in file order (then line
     order), so the output equals the sequential keep-first result
-    whatever the count.
+    whatever the count. Each file is merged as its result arrives, and
+    its rows are dropped once merged.
     """
     results = ordered_map(
         partial(parse_file, require_lang=require_lang), list(paths), threads
     )
     stats = IngestStats()
-    merged: list[NormalizedDocument] = []
-    for rows, file_stats in results:
-        merged.extend(starmap(NormalizedDocument, rows))
-        stats.merge(file_stats)
-    deduped, dropped = deduplicate(merged)
-    stats.duplicates_removed = dropped
+
+    def documents():
+        for rows, file_stats in results:
+            stats.merge(file_stats)
+            yield from starmap(NormalizedDocument, rows)
+            del rows  # before waiting for the next file
+
+    deduped, stats.duplicates_removed = deduplicate(documents())
     stats.documents = len(deduped)
     return deduped, stats

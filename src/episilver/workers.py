@@ -3,17 +3,20 @@ which needs only the standard library."""
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from .errors import ConfigError
 
 
-def ordered_map(fn: Callable, tasks: Sequence, processes: int) -> list:
-    """``[fn(task) for task in tasks]``, computed by min(processes,
-    len(tasks)) worker processes and returned in task order.
+def ordered_map(fn: Callable, tasks: Sequence, processes: int) -> Iterator:
+    """``map(fn, tasks)``, computed by min(processes, len(tasks)) worker
+    processes, yielding the results in task order as they come.
 
-    With one process or one task the work runs in this process and no
-    pool starts. Workers are spawned, never forked, so a parent that has
+    A count below 1 raises ConfigError here, before anything runs. With
+    one process or one task the work runs in this process, a task at a
+    time, and no pool starts. Otherwise the pool starts at the first
+    ``next()``, and it shuts down when the iterator is exhausted, raises
+    or is closed. Workers are spawned, never forked, so a parent that has
     started BLAS threads is safe; a library caller that asks for more than
     one process needs the ``if __name__ == "__main__":`` guard. fn and the
     tasks must pickle, and an exception raised by fn reaches the caller as
@@ -23,13 +26,18 @@ def ordered_map(fn: Callable, tasks: Sequence, processes: int) -> list:
         raise ConfigError(f"threads must be >= 1, got {processes}")
     n = min(processes, len(tasks))
     if n <= 1:
-        return [fn(task) for task in tasks]
+        return map(fn, tasks)
+    return _pooled_map(fn, tasks, n)
+
+
+def _pooled_map(fn: Callable, tasks: Sequence, processes: int) -> Iterator:
     # Imported here, so that a run that starts no pool does not pay for them.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("spawn"))
+    pool = ProcessPoolExecutor(
+        processes, mp_context=multiprocessing.get_context("spawn"))
     try:
-        return list(pool.map(fn, tasks))
+        yield from pool.map(fn, tasks)
     finally:
         pool.shutdown(cancel_futures=True)

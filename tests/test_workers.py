@@ -2,13 +2,14 @@
 from a worker process to the caller."""
 
 import gzip
+import multiprocessing
 import pickle
 import re
 
 import pytest
 
 from episilver import errors
-from episilver.corpus import ingest_files
+from episilver.corpus import IngestStats, ingest_files
 from episilver.errors import ConfigError, DataError, PipelineError
 from episilver.workers import ordered_map
 
@@ -45,20 +46,29 @@ def test_every_pipeline_error_survives_pickling(cls):
 
 def test_in_process_without_a_pool():
     # a lambda does not pickle, so these can only have run in this process
-    assert ordered_map(lambda t: 2 * t, [1, 2, 3], 1) == [2, 4, 6]
-    assert ordered_map(lambda t: 2 * t, [5], 4) == [10]
-    assert ordered_map(lambda t: 2 * t, [], 4) == []
+    assert list(ordered_map(lambda t: 2 * t, [1, 2, 3], 1)) == [2, 4, 6]
+    assert list(ordered_map(lambda t: 2 * t, [5], 4)) == [10]
+    assert list(ordered_map(lambda t: 2 * t, [], 4)) == []
 
 
 def test_pool_keeps_task_order():
     tasks = [-5, 3, -1, 8, -2, 0, 7]
-    assert ordered_map(abs, tasks, 2) == [abs(t) for t in tasks]
+    assert list(ordered_map(abs, tasks, 2)) == [abs(t) for t in tasks]
 
 
 @pytest.mark.parametrize("processes", [0, -3])
 def test_fewer_than_one_process_is_a_config_error(processes):
+    # raised by the call itself, before the first next()
     with pytest.raises(ConfigError, match=f"got {processes}"):
         ordered_map(abs, [1, 2], processes)
+
+
+def test_abandoned_iterator_shuts_the_pool_down():
+    results = ordered_map(abs, [-1, -2, -3, -4], 2)
+    assert next(results) == 1
+    assert multiprocessing.active_children()
+    results.close()
+    assert multiprocessing.active_children() == []
 
 
 def test_worker_error_reaches_the_caller_as_itself(tmp_path):
@@ -70,3 +80,27 @@ def test_worker_error_reaches_the_caller_as_itself(tmp_path):
         ingest_files([str(good), str(truncated)], threads=2)
     with pytest.raises(FileNotFoundError):
         ingest_files([str(good), str(tmp_path / "missing.jsonl")], threads=2)
+
+
+def test_error_in_a_later_file_after_earlier_ones_merged(tmp_path, monkeypatch):
+    paths = []
+    for i in range(3):
+        path = tmp_path / f"{i}.jsonl"
+        path.write_text(f'{{"id_str": "{i}", "text": "doc {i}"}}\n', encoding="utf-8")
+        paths.append(str(path))
+    bad = tmp_path / "bad.jsonl.gz"
+    bad.write_bytes(b"not gzip at all")
+    merged = []
+    real_merge = IngestStats.merge
+
+    def recording_merge(self, other):
+        merged.append(other.lines)
+        real_merge(self, other)
+
+    # merging happens in this process whatever the worker count
+    monkeypatch.setattr(IngestStats, "merge", recording_merge)
+    for threads in (1, 2):
+        merged.clear()
+        with pytest.raises(DataError, match=re.escape(str(bad))):
+            ingest_files([*paths, str(bad)], threads=threads)
+        assert merged == [1, 1, 1]
