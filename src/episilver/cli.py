@@ -29,6 +29,7 @@ from .config import (
 from .corpus import NormalizedDocument, ingest_files
 from .errors import ConfigError, DataError, PipelineError, stage
 from .labeling import (
+    MULTI_MATCH_POLICIES,
     EpidemicClass,
     default_ruleset,
     label_documents,
@@ -259,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--ruleset")
     p.add_argument("--classes", default=default_classes)
-    p.add_argument("--policy", choices=("exclude", "priority"), default="exclude")
+    p.add_argument("--policy", choices=MULTI_MATCH_POLICIES, default="exclude")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stats")
     p.set_defaults(func=cmd_label)
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--ruleset")
     p.add_argument("--classes", default=default_classes)
-    p.add_argument("--policy", choices=("exclude", "priority"), default="exclude")
+    p.add_argument("--policy", choices=MULTI_MATCH_POLICIES, default="exclude")
     p.add_argument("--ratio", type=float, default=0.75)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", choices=MODEL_KINDS + ("all",), default="all")

@@ -8,6 +8,7 @@ as weights.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -211,8 +212,8 @@ def render_confusion_csv(report: EvalReport) -> bytes:
 
 def report_from_json(data: bytes | str, origin: str = "<report>") -> EvalReport:
     """Parse a JSON-rendered report; invalid JSON, a missing key, a value
-    of the wrong type or an unknown class raises DataError naming
-    `origin`."""
+    of the wrong type or out of range, or an unknown class raises
+    DataError naming `origin`."""
     try:
         doc = json.loads(data)
         if doc.get("format_version") != REPORT_FORMAT_VERSION:
@@ -225,26 +226,50 @@ def report_from_json(data: bytes | str, origin: str = "<report>") -> EvalReport:
         ) from exc
 
 
+_REAL = (int, float)
+
+
+def _checked(value, kinds: type | tuple[type, ...], low: float = -math.inf):
+    """value, unless it is a bool, not of `kinds`, below `low` or not finite."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"{value!r} is a {type(value).__name__}")
+    if not low <= value < math.inf:
+        raise ValueError(f"{value!r} is below {low} or not finite")
+    return value
+
+
 def _report_from_doc(doc: dict) -> EvalReport:
+    """The report a JSON document holds. An empty class order, per-class
+    rows out of the class order, a metric that is not a finite number, a
+    count that is not a non-negative int, a total support of 0 or a
+    confusion matrix that is not square over the classes is a ValueError
+    or a TypeError."""
     class_order = tuple(EpidemicClass.from_label(t) for t in doc["class_order"])
     per_class = tuple(
         ClassMetrics(
             epidemic_class=EpidemicClass.from_label(m["class"]),
-            precision=m["precision"], recall=m["recall"],
-            f1=m["f1"], support=m["support"],
+            precision=_checked(m["precision"], _REAL),
+            recall=_checked(m["recall"], _REAL), f1=_checked(m["f1"], _REAL),
+            support=_checked(m["support"], int, 0),
         )
         for m in doc["per_class"]
     )
+    if tuple(m.epidemic_class for m in per_class) != class_order:
+        raise ValueError("per-class rows do not follow the class order")
+    if not sum(m.support for m in per_class):  # also for an empty class order
+        raise ValueError("total support is zero")
+    confusion = tuple(tuple(_checked(v, int, 0) for v in row)
+                      for row in doc["confusion"])
+    if len(confusion) != len(class_order) or any(
+            len(row) != len(class_order) for row in confusion):
+        raise ValueError("confusion matrix is not square over the classes")
     return EvalReport(
         model_id=doc["model_id"],
         class_order=class_order,
         per_class=per_class,
-        weighted_f1=doc["weighted_f1"],
-        accuracy=doc["accuracy"],
-        confusion=ConfusionMatrix(
-            counts=tuple(tuple(int(v) for v in row) for row in doc["confusion"]),
-            class_order=class_order,
-        ),
+        weighted_f1=_checked(doc["weighted_f1"], _REAL),
+        accuracy=_checked(doc["accuracy"], _REAL),
+        confusion=ConfusionMatrix(counts=confusion, class_order=class_order),
         zero_division=tuple(
             EpidemicClass.from_label(t) for t in doc["zero_division"]
         ),

@@ -80,16 +80,18 @@ class LabelRule:
 
 @dataclass(frozen=True)
 class Ruleset:
-    """Priority-ordered rules with their compiled patterns and, for each
-    rule, its prefilter: a pattern of literals, one of which every match
-    of the rule contains, or None when the rule has no required literal.
-    The gate pools all rules' literals (see ``match_rules``). Iterating
-    gives (rule, compiled pattern) pairs."""
+    """Priority-ordered rules with their compiled patterns and keys.
+
+    A rule's keys are its required literals, one of which every match of
+    its pattern contains, as (rule index, literal, folded) in rule order;
+    the literals of a pattern that ignores case are lowercased and
+    folded. A rule with no required literal, or one that is not ASCII,
+    has the single key "", which every text contains (see
+    ``match_rules``). Iterating gives (rule, compiled pattern) pairs."""
 
     rules: tuple[LabelRule, ...]
     compiled: tuple[re.Pattern, ...]
-    prefilters: tuple[re.Pattern | None, ...]
-    gate: tuple[tuple[str, ...], tuple[str, ...]] | None
+    keys: tuple[tuple[int, str, bool], ...]
 
     def __iter__(self):
         return iter(zip(self.rules, self.compiled))
@@ -141,28 +143,14 @@ def _pruned(literals: set[str]) -> tuple[str, ...]:
                         if not any(t != s and t in s for t in literals)))
 
 
-def _prefilter(rx: re.Pattern, literals: tuple[str, ...]) -> re.Pattern | None:
-    """rx's required literals as one pattern compiled with rx's own flags,
-    so that it finds a literal wherever rx's match has one (case folding
-    included); None when rx has no required literal."""
-    if not literals:
-        return None
-    return re.compile("|".join(map(re.escape, literals)), rx.flags)
-
-
-def _gate(compiled: Sequence[re.Pattern], literals: Sequence[tuple[str, ...]]
-          ) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
-    """The pooled literals of the case-insensitive patterns, lowercased,
-    and of the others; None unless every pattern has literals, all ASCII."""
-    if not all(lits and "".join(lits).isascii() for lits in literals):
-        return None
-    folded, exact = set(), set()
-    for rx, lits in zip(compiled, literals):
-        if rx.flags & re.IGNORECASE:
-            folded.update(s.lower() for s in lits)
-        else:
-            exact.update(lits)
-    return _pruned(folded), _pruned(exact)
+def _keys(index: int, rx: re.Pattern) -> list[tuple[int, str, bool]]:
+    """The keys of rule `index` (see ``Ruleset``)."""
+    literals = _pruned(_required_literals(_sre_parse.parse(rx.pattern, rx.flags))
+                       or set())
+    if not literals or not "".join(literals).isascii():
+        return [(index, "", False)]
+    folded = bool(rx.flags & re.IGNORECASE)
+    return [(index, s.lower() if folded else s, folded) for s in literals]
 
 
 def _compile_rule(rule: LabelRule) -> re.Pattern:
@@ -185,11 +173,8 @@ def compile_ruleset(rules: Sequence[LabelRule]) -> Ruleset:
         raise ConfigError(f"duplicate rule priorities: {dupes}")
     ordered = tuple(sorted(rules, key=lambda r: r.priority))
     compiled = tuple(map(_compile_rule, ordered))
-    literals = [_pruned(_required_literals(_sre_parse.parse(rx.pattern, rx.flags))
-                        or set()) for rx in compiled]
-    return Ruleset(rules=ordered, compiled=compiled,
-                   prefilters=tuple(map(_prefilter, compiled, literals)),
-                   gate=_gate(compiled, literals))
+    keys = tuple(key for i, rx in enumerate(compiled) for key in _keys(i, rx))
+    return Ruleset(rules=ordered, compiled=compiled, keys=keys)
 
 
 def parse_ruleset_text(text: str, origin: str = "<string>") -> Ruleset:
@@ -257,21 +242,22 @@ def default_ruleset() -> Ruleset:
 def match_rules(ruleset: Ruleset, text: str) -> tuple[LabelRule, ...]:
     """All rules matching anywhere in text, in priority order.
 
-    An ASCII text that holds none of the gate's literals, the lowercased
-    ones in the lowercased text, matches no rule: on ASCII text and
-    literals, ``re.IGNORECASE`` is ASCII case equality. Otherwise a rule's
-    pattern runs only where its prefilter finds a literal. The result is
-    that of searching every rule's pattern."""
-    gate = ruleset.gate
-    if gate is not None and text.isascii():
+    On ASCII text only the rules with a key in the text run, a folded key
+    looked up in the lowercased text: on ASCII text and literals,
+    ``re.IGNORECASE`` is ASCII case equality. Other text runs every
+    rule, since ``re``'s case folding matches, for example, ``hİv``
+    against ``(?i)hiv``. The result is that of searching every rule's
+    pattern."""
+    if text.isascii():
         lowered = text.lower()
-        if not (any(map(lowered.__contains__, gate[0]))
-                or any(map(text.__contains__, gate[1]))):
+        candidates = [i for i, key, folded in ruleset.keys
+                      if key in (lowered if folded else text)]
+        if not candidates:
             return ()
-    return tuple(
-        rule for rule, rx, pre in zip(ruleset.rules, ruleset.compiled,
-                                      ruleset.prefilters)
-        if (pre is None or pre.search(text)) and rx.search(text))
+    else:
+        candidates = range(len(ruleset.rules))
+    return tuple(ruleset.rules[i] for i in dict.fromkeys(candidates)
+                 if ruleset.compiled[i].search(text))
 
 
 def match_classes(ruleset: Ruleset, text: str) -> set[EpidemicClass]:
@@ -311,27 +297,15 @@ class LabeledExample:
 
 
 def sample_negatives(
-    stream: Iterable[NormalizedDocument],
-    ruleset: Ruleset,
-    n: int,
-    seed: int,
-) -> list[LabeledExample]:
-    """Uniform reservoir sample of n documents matching no rule.
-
-    Deterministic given (stream order, seed). Raises
-    InsufficientNegativesError reporting the shortfall when fewer than
-    n documents qualify.
-    """
-    return _reservoir_negatives(
-        (doc for doc in stream if not match_rules(ruleset, doc.text)), n, seed
-    )
-
-
-def _reservoir_negatives(
     pool: Iterable[NormalizedDocument], n: int, seed: int
 ) -> list[LabeledExample]:
     """Uniform reservoir sample of n documents of a pool already known to
-    match no rule, labeled NON_EPIDEMIC."""
+    match no rule, labeled NON_EPIDEMIC.
+
+    Deterministic given (pool order, seed). Raises
+    InsufficientNegativesError reporting the shortfall when the pool
+    holds fewer than n documents.
+    """
     if n < 0:
         raise ConfigError(f"negative sample size {n}")
     rng = random.Random(seed)
@@ -362,8 +336,8 @@ def label_documents(
 ) -> tuple[SilverDataset, dict]:
     """Match each document against the rules once, in this process, and
     build the balanced silver dataset from the documents that resolve to
-    an included class and as many negatives, drawn as
-    ``sample_negatives`` draws them.
+    an included class and as many negatives, drawn by
+    ``sample_negatives`` from the documents that match no rule.
 
     Also returns the counts ``matched`` (per resolved class),
     ``ambiguous_excluded`` and ``unmatched``; they sum to len(docs).
@@ -388,7 +362,7 @@ def label_documents(
         else:
             pool.append(doc)
     n_needed = sum(len(v) for v in positives.values())
-    negatives = _reservoir_negatives(pool, n_needed, seed)
+    negatives = sample_negatives(pool, n_needed, seed)
     stats = {"matched": matched, "ambiguous_excluded": ambiguous,
              "unmatched": len(pool)}
     return build_silver_dataset(positives, negatives, seed=seed), stats

@@ -271,7 +271,6 @@ class LinearHyperparams:
     strength: float = 1.0
     max_iter: int = 1000
     tol: float = 1e-4
-    seed: int = 0
 
 
 @dataclass
@@ -412,7 +411,6 @@ def train_linear_svm(
 class TreeHyperparams:
     max_depth: int = 150
     seed: int = 0
-    criterion: str = "entropy"
 
 
 @dataclass(frozen=True, slots=True)
@@ -649,7 +647,7 @@ def _predict_tree(model: TreeModel, X: sparse.csr_matrix) -> list[EpidemicClass]
     return [model.class_order[c] for c in leaf.tolist()]
 
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 def save_model(

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -170,16 +171,18 @@ _TEXTS = st.lists(
 
 
 class TestPrefilter:
+    """Each rule's keys: the literals one of which every match contains."""
+
     def test_default_ruleset_prefilters(self):
-        rs = default_ruleset()
-        assert [(p.pattern, bool(p.flags & re.IGNORECASE)) for p in rs.prefilters] == [
-            (k, True) for k in ("swine", "h1n1", "ebola", "cholera", "influenza",
-                                "flu", "yellow", "hiv", "mers", "sars")
-        ] + [("AIDS", False)]
+        assert default_ruleset().keys == tuple(
+            (i, k, True) for i, k in enumerate(
+                ("swine", "h1n1", "ebola", "cholera", "influenza",
+                 "flu", "yellow", "hiv", "mers", "sars"))
+        ) + ((10, "AIDS", False),)
 
     def test_rule_without_literal_runs_in_full(self):
         rs = compile_ruleset([LabelRule(EC.FLU, "[0-9]+", False, 0)])
-        assert rs.prefilters == (None,)
+        assert rs.keys == ((0, "", False),)
         assert match_rules(rs, "flu season of 2009") == rs.rules
         assert match_rules(rs, "flu season") == ()
 
@@ -191,7 +194,7 @@ class TestPrefilter:
     ])
     def test_case_folding_is_the_rules_own(self, pattern, text):
         rs = compile_ruleset([LabelRule(EC.HIV_AIDS, pattern, False, 0)])
-        assert rs.prefilters[0] is not None
+        assert rs.keys[0][1] != ""
         assert match_rules(rs, text) == _unfiltered(rs, text) == rs.rules
 
     @settings(max_examples=400, deadline=None)
@@ -203,8 +206,9 @@ class TestPrefilter:
             assert match_rules(rs, text) == _unfiltered(rs, text), (specs, text)
 
 
-# Texts of ASCII characters only, which the gate of match_rules reads:
-# both cases, digits, '#', whitespace and the grammar's ASCII literals.
+# Texts of ASCII characters only, on which match_rules runs only the
+# rules with a key in the text: both cases, digits, '#', whitespace and
+# the grammar's ASCII literals.
 _ASCII_TEXTS = st.lists(
     st.sampled_from(["a", "A", "s", "S", "k", "K", "i", "I", "h", "H", "v",
                      "V", "c", "0", "9", "#", " ", "\t", "\n", "hiv", "HIV",
@@ -213,13 +217,19 @@ _ASCII_TEXTS = st.lists(
 ).map("".join)
 
 
+class _NoSearch:
+    def search(self, text):
+        raise AssertionError(f"a pattern ran on {text!r}")
+
+
 class TestGate:
+    """ASCII text runs only the rules with a key in it."""
+
     def test_default_ruleset_gate(self):
-        assert default_ruleset().gate == (
-            ("cholera", "ebola", "flu", "h1n1", "hiv", "mers", "sars",
-             "swine", "yellow"),
-            ("AIDS",),
-        )
+        rs = default_ruleset()
+        assert all(key for _, key, _ in rs.keys)
+        unrun = dataclasses.replace(rs, compiled=(_NoSearch(),) * len(rs.rules))
+        assert match_rules(unrun, "no health terms, even Aids or #mer here") == ()
 
     @pytest.mark.parametrize("pattern,text", [
         (r"[0-9]+", "season of 2009"),
@@ -228,14 +238,14 @@ class TestGate:
     def test_gate_off(self, pattern, text):
         rs = compile_ruleset([LabelRule(EC.CHOLERA, r"\bcholera\b", False, 0),
                               LabelRule(EC.FLU, pattern, False, 1)])
-        assert rs.gate is None
+        assert rs.keys == ((0, "cholera", True), (1, "", False))
         assert match_rules(rs, text) == _unfiltered(rs, text) == rs.rules[1:]
 
     def test_case_scoped_literals_follow_the_pattern_flags(self):
         rs = compile_ruleset([LabelRule(EC.SWINE_FLU, r"\bSwine(?i:\s*flu)\b", True, 0),
                               LabelRule(EC.HIV_AIDS, r"(?i)\bHIV\b", True, 1),
                               LabelRule(EC.MERS, r"\bMERS\b", False, 2)])
-        assert rs.gate == (("hiv", "mers"), ("Swine",))
+        assert rs.keys == ((0, "Swine", False), (1, "hiv", True), (2, "mers", True))
         assert match_rules(rs, "HIV and Mers") == rs.rules[1:]
         assert match_rules(rs, "swine FLU") == ()
 
@@ -292,29 +302,20 @@ def _doc_stream(texts):
 class TestSampleNegatives:
     def test_deterministic(self):
         docs = _doc_stream([f"plain doc {i}" for i in range(100)])
-        rs = default_ruleset()
-        first = sample_negatives(docs, rs, 10, seed=7)
-        second = sample_negatives(docs, rs, 10, seed=7)
+        first = sample_negatives(docs, 10, seed=7)
+        second = sample_negatives(docs, 10, seed=7)
         assert first == second
-        assert sample_negatives(docs, rs, 10, seed=8) != first
+        assert sample_negatives(docs, 10, seed=8) != first
+        assert all(ex.label is EC.NON_EPIDEMIC for ex in first)
 
     def test_zero_sample(self):
-        assert sample_negatives(_doc_stream(["a doc"]), default_ruleset(), 0, 1) == []
+        assert sample_negatives(_doc_stream(["a doc"]), 0, 1) == []
 
     def test_insufficiency_reports_shortfall(self):
         docs = _doc_stream([f"plain {i}" for i in range(5)])
         with pytest.raises(InsufficientNegativesError) as exc:
-            sample_negatives(docs, default_ruleset(), 10, 0)
+            sample_negatives(docs, 10, 0)
         assert exc.value.shortfall == 5
-
-    def test_epidemic_docs_never_sampled(self):
-        texts = [f"plain {i}" for i in range(20)] + ["flu alert", "ebola watch"]
-        out = sample_negatives(_doc_stream(texts), default_ruleset(), 20, 3)
-        rs = default_ruleset()
-        assert len(out) == 20
-        for ex in out:
-            assert ex.label is EC.NON_EPIDEMIC
-            assert match_classes(rs, ex.text) == set()
 
 
 class TestLabelDocuments:
@@ -337,7 +338,22 @@ class TestLabelDocuments:
         rs = default_ruleset()
         ds, _ = label_documents(docs, rs, [EC.EBOLA, EC.FLU], "exclude", seed=4)
         assert ds.class_counts == {EC.EBOLA: 1, EC.FLU: 1, EC.NON_EPIDEMIC: 2}
-        assert list(ds.examples[2:]) == sample_negatives(docs, rs, 2, seed=4)
+        pool = [doc for doc in docs if not match_rules(rs, doc.text)]
+        assert list(ds.examples[2:]) == sample_negatives(pool, 2, seed=4)
+
+    def test_epidemic_docs_never_sampled(self):
+        # Documents of an excluded class and ambiguous ones outnumber the
+        # two that match no rule; only those two may be drawn.
+        texts = (["plain 0", "flu alert", "ebola watch", "plain 1"]
+                 + [f"cholera case {i}" for i in range(20)]
+                 + ["swine flu and ebola"])
+        rs = default_ruleset()
+        ds, _ = label_documents(_doc_stream(texts), rs, [EC.EBOLA, EC.FLU], seed=3)
+        negatives = ds.examples[2:]
+        assert {ex.text for ex in negatives} == {"plain 0", "plain 1"}
+        for ex in negatives:
+            assert ex.label is EC.NON_EPIDEMIC
+            assert match_classes(rs, ex.text) == set()
 
     def test_insufficient_pool(self):
         docs = _doc_stream(["flu alert", "ebola watch", "plain"])

@@ -3,7 +3,6 @@ import gzip
 import json
 import os
 import random
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -234,24 +233,21 @@ class TestOneLabelingPath:
         assert label_stats["class_counts"] == manifest["dataset"]["class_counts"]
         assert label_stats["total"] == manifest["dataset"]["total"]
 
-    # A rule with a prefilter, a case-sensitive one with a case-insensitive
-    # group, and a mers rule: without a required literal, which turns the
-    # gate off, or with one.
-    @pytest.mark.parametrize("mers_rule, mers_prefilter, gate", [
-        ("1\t1\t[#\\s][mM][eE][rR][sS]\\b", None, None),
-        ("0\t1\t[#\\s]mers\\b", ("mers", re.IGNORECASE),
-         (("cholera", "mers"), ("Swine",))),
+    # A case-insensitive rule, a case-sensitive one with a case-insensitive
+    # group, and a mers rule: without a required literal, which gives it
+    # the key "" that runs it on every text, or with one.
+    @pytest.mark.parametrize("mers_rule, mers_key", [
+        ("1\t1\t[#\\s][mM][eE][rR][sS]\\b", (1, "", False)),
+        ("0\t1\t[#\\s]mers\\b", (1, "mers", True)),
     ], ids=["ungated", "gated"])
     def test_custom_ruleset_label_reproduces_run(
-            self, large_corpus, tmp_path, mers_rule, mers_prefilter, gate):
+            self, large_corpus, tmp_path, mers_rule, mers_key):
         rules = tmp_path / "rules.tsv"
         rules.write_text("cholera\t0\t0\t\\bcholera\\b\n"
                          f"mers\t{mers_rule}\n"
                          "swine_flu\t1\t2\t\\bSwine(?i:\\s*flu)\\b\n", encoding="utf-8")
         ruleset = labeling.load_ruleset(rules)
-        assert [p and (p.pattern, p.flags & re.IGNORECASE) for p in ruleset.prefilters] \
-            == [("cholera", re.IGNORECASE), mers_prefilter, ("Swine", 0)]
-        assert ruleset.gate == gate
+        assert ruleset.keys == ((0, "cholera", True), mers_key, (2, "Swine", False))
         result = run_pipeline(small_config(
             large_corpus[0], tmp_path / "run", inputs=large_corpus,
             ruleset_path=str(rules), model_kinds=("tree",)))
@@ -588,6 +584,59 @@ def test_loader_error_is_short_and_names_the_file(default_run, tmp_path, capsys,
     (line,) = capsys.readouterr().err.splitlines()
     assert len(line.encode("utf-8")) < 1024
     assert str(junk) in json.loads(line)["message"]
+
+
+def _damage_report(doc):
+    doc["class_order"], doc["per_class"], doc["confusion"] = [], [], []
+
+
+def _zero_support(doc):
+    for m in doc["per_class"]:
+        m["support"] = 0
+
+
+REPORT_DAMAGE = {
+    "empty-class-order": _damage_report,
+    "string-metric": lambda doc: doc["per_class"][0].update(precision="a"),
+    "bool-metric": lambda doc: doc["per_class"][1].update(recall=True),
+    "infinite-metric": lambda doc: doc.update(accuracy=float("inf")),
+    "negative-support": lambda doc: doc["per_class"][0].update(support=-1),
+    "float-support": lambda doc: doc["per_class"][0].update(support=2.5),
+    "zero-total-support": _zero_support,
+    "rows-out-of-order": lambda doc: doc["per_class"].reverse(),
+    "row-missing": lambda doc: doc["per_class"].pop(),
+    "confusion-row-missing": lambda doc: doc["confusion"].pop(),
+    "confusion-column-missing": lambda doc: doc["confusion"][0].pop(),
+}
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json", "confusion"])
+@pytest.mark.parametrize("damage", REPORT_DAMAGE)
+def test_report_with_a_bad_value_is_a_data_error(
+        default_run, tmp_path, capsys, damage, fmt):
+    doc = json.loads((default_run / "report-logistic.json").read_text())
+    REPORT_DAMAGE[damage](doc)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", "--report", str(path), "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "DataError" and str(path) in record["message"]
+
+
+def test_model_file_of_the_previous_format_is_rejected(default_run, tmp_path, capsys):
+    doc = json.loads((default_run / "model-logistic.json").read_text())
+    doc["format_version"] = 1
+    doc["hyperparams"]["seed"] = 0
+    old = tmp_path / "model-logistic.json"
+    old.write_text(json.dumps(doc))
+    assert main(["eval", "--dataset", str(default_run / "dataset.tsv"),
+                 "--tfidf", str(default_run / "tfidf.json"),
+                 "--model-file", str(old), "--out", str(tmp_path), "--seed", "99"]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "unsupported format version" in json.loads(line)["message"]
 
 
 FRONT_HALF = """

@@ -207,14 +207,15 @@ def pinned_problem():
 
 
 def test_saved_tree_bytes_pinned(tmp_path):
-    """The SHA-256 was taken from the dense split search (485 nodes)."""
+    """The nodes were pinned from the dense split search (485 nodes); the
+    SHA-256 is of model format 2, whose hyperparams hold no criterion."""
     X, y = pinned_problem()
     model = train_decision_tree(X, y, TreeHyperparams(seed=11))
     path = tmp_path / "tree.json"
     save_model(model, path, "0" * 64)
     assert len(model.nodes) == 485
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "31091c3b2ce2b8ea9acfdd6dbe1df8e67c4012c2090a40a5cc92ee6288c27f3d")
+        "6785aebf45ce2954ecd6b4fcc6ff69f8e462598ae83f8eefd44a7aadc49c1239")
 
 
 def route_one_row(model, row):
