@@ -1,14 +1,13 @@
 """Metric suite: per-class P/R/F1, weighted F1, accuracy, confusion matrices.
 
-The 0/0 convention for precision, recall and F1 is 0.0; classes where
-it fired are flagged in the report. Weighted F1 uses per-class support
-as weights.
+The 0/0 convention for precision, recall and F1 is 0.0; classes with no
+true positive, whose three values are all 0, are flagged in the report.
+Weighted F1 uses per-class support as weights.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -28,10 +27,6 @@ class ConfusionMatrix:
     def as_array(self) -> np.ndarray:
         return np.array(self.counts, dtype=np.int64)
 
-    @property
-    def total(self) -> int:
-        return int(self.as_array().sum())
-
 
 @dataclass(frozen=True)
 class ClassMetrics:
@@ -44,13 +39,33 @@ class ClassMetrics:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """A model's confusion matrix on the validation rows. Every metric is
+    computed from the counts, so a report cannot disagree with them."""
+
     model_id: str
-    class_order: tuple[EpidemicClass, ...]
-    per_class: tuple[ClassMetrics, ...]
-    weighted_f1: float
-    accuracy: float
     confusion: ConfusionMatrix
-    zero_division: tuple[EpidemicClass, ...]
+
+    @property
+    def class_order(self) -> tuple[EpidemicClass, ...]:
+        return self.confusion.class_order
+
+    @property
+    def per_class(self) -> tuple[ClassMetrics, ...]:
+        return class_prf(self.confusion)
+
+    @property
+    def weighted_f1(self) -> float:
+        return weighted_f1(self.per_class)
+
+    @property
+    def accuracy(self) -> float:
+        return accuracy(self.confusion)
+
+    @property
+    def zero_division(self) -> tuple[EpidemicClass, ...]:
+        """Classes with no true positive: precision, recall and F1 are 0."""
+        return tuple(cls for i, cls in enumerate(self.class_order)
+                     if not self.confusion.counts[i][i])
 
 
 def confusion_matrix(
@@ -131,24 +146,7 @@ def build_report(
     pred: Sequence[EpidemicClass],
     class_order: Sequence[EpidemicClass],
 ) -> EvalReport:
-    cm = confusion_matrix(true, pred, class_order)
-    per_class = class_prf(cm)
-    counts = cm.as_array()
-    flagged = tuple(
-        m.epidemic_class
-        for i, m in enumerate(per_class)
-        if counts[:, i].sum() == 0 or counts[i, :].sum() == 0
-        or (m.precision + m.recall) == 0.0
-    )
-    return EvalReport(
-        model_id=model_id,
-        class_order=tuple(class_order),
-        per_class=per_class,
-        weighted_f1=weighted_f1(per_class),
-        accuracy=accuracy(cm),
-        confusion=cm,
-        zero_division=flagged,
-    )
+    return EvalReport(model_id, confusion_matrix(true, pred, class_order))
 
 
 REPORT_FORMAT_VERSION = 1
@@ -182,16 +180,17 @@ def render_report(report: EvalReport, fmt: str) -> bytes:
     if fmt == "json":
         return json.dumps(_report_json(report), sort_keys=True).encode("utf-8")
     if fmt == "tsv":
+        per_class = report.per_class
         lines = [f"# model\t{report.model_id}"]
         lines.append("class\tprecision\trecall\tf1\tsupport")
-        total = sum(m.support for m in report.per_class)
-        for m in report.per_class:
+        total = sum(m.support for m in per_class)
+        for m in per_class:
             lines.append(
                 f"{m.epidemic_class.label}\t{m.precision:.4f}\t{m.recall:.4f}"
                 f"\t{m.f1:.4f}\t{m.support}"
             )
-        w_p = sum(m.support * m.precision for m in report.per_class) / total
-        w_r = sum(m.support * m.recall for m in report.per_class) / total
+        w_p = sum(m.support * m.precision for m in per_class) / total
+        w_r = sum(m.support * m.recall for m in per_class) / total
         lines.append(
             f"weighted\t{w_p:.4f}\t{w_r:.4f}\t{report.weighted_f1:.4f}\t{total}"
         )
@@ -211,8 +210,9 @@ def render_confusion_csv(report: EvalReport) -> bytes:
 
 
 def report_from_json(data: bytes | str, origin: str = "<report>") -> EvalReport:
-    """Parse a JSON-rendered report; invalid JSON, a missing key, a value
-    of the wrong type or out of range, or an unknown class raises
+    """Parse a JSON-rendered report. The report is the one its confusion
+    matrix gives; invalid JSON, a missing key, a malformed matrix, an
+    unknown class or any value other than the matrix gives raises
     DataError naming `origin`."""
     try:
         doc = json.loads(data)
@@ -226,51 +226,27 @@ def report_from_json(data: bytes | str, origin: str = "<report>") -> EvalReport:
         ) from exc
 
 
-_REAL = (int, float)
-
-
-def _checked(value, kinds: type | tuple[type, ...], low: float = -math.inf):
-    """value, unless it is a bool, not of `kinds`, below `low` or not finite."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise TypeError(f"{value!r} is a {type(value).__name__}")
-    if not low <= value < math.inf:
-        raise ValueError(f"{value!r} is below {low} or not finite")
-    return value
-
-
 def _report_from_doc(doc: dict) -> EvalReport:
-    """The report a JSON document holds. An empty class order, per-class
-    rows out of the class order, a metric that is not a finite number, a
-    count that is not a non-negative int, a total support of 0 or a
-    confusion matrix that is not square over the classes is a ValueError
-    or a TypeError."""
+    """The report a JSON document's confusion matrix gives. A matrix that
+    is not square over a non-empty class order, a count that is not a
+    non-negative int, a total of 0, or a top-level key that does not dump
+    as the rebuilt report's does is a ValueError naming the keys."""
     class_order = tuple(EpidemicClass.from_label(t) for t in doc["class_order"])
-    per_class = tuple(
-        ClassMetrics(
-            epidemic_class=EpidemicClass.from_label(m["class"]),
-            precision=_checked(m["precision"], _REAL),
-            recall=_checked(m["recall"], _REAL), f1=_checked(m["f1"], _REAL),
-            support=_checked(m["support"], int, 0),
-        )
-        for m in doc["per_class"]
-    )
-    if tuple(m.epidemic_class for m in per_class) != class_order:
-        raise ValueError("per-class rows do not follow the class order")
-    if not sum(m.support for m in per_class):  # also for an empty class order
-        raise ValueError("total support is zero")
-    confusion = tuple(tuple(_checked(v, int, 0) for v in row)
-                      for row in doc["confusion"])
-    if len(confusion) != len(class_order) or any(
-            len(row) != len(class_order) for row in confusion):
+    counts = tuple(tuple(row) for row in doc["confusion"])
+    if not class_order or len(counts) != len(class_order) or any(
+            len(row) != len(class_order) for row in counts):
         raise ValueError("confusion matrix is not square over the classes")
-    return EvalReport(
-        model_id=doc["model_id"],
-        class_order=class_order,
-        per_class=per_class,
-        weighted_f1=_checked(doc["weighted_f1"], _REAL),
-        accuracy=_checked(doc["accuracy"], _REAL),
-        confusion=ConfusionMatrix(counts=confusion, class_order=class_order),
-        zero_division=tuple(
-            EpidemicClass.from_label(t) for t in doc["zero_division"]
-        ),
-    )
+    if any(type(v) is not int or v < 0 for row in counts for v in row):
+        raise ValueError("a confusion count is not a non-negative int")
+    if not sum(map(sum, counts)):
+        raise ValueError("confusion matrix is empty")
+    report = EvalReport(doc["model_id"], ConfusionMatrix(counts, class_order))
+    rebuilt = _report_json(report)
+    differ = sorted(
+        key for key in doc.keys() | rebuilt.keys()
+        if key not in doc or key not in rebuilt
+        or json.dumps(doc[key], sort_keys=True)
+        != json.dumps(rebuilt[key], sort_keys=True))
+    if differ:
+        raise ValueError(f"{', '.join(differ)} not as the confusion matrix gives")
+    return report

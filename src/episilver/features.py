@@ -14,7 +14,6 @@ import re
 from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -23,25 +22,14 @@ from scipy import sparse
 from .errors import DataError, FitError
 
 
-@dataclass(frozen=True, slots=True)
-class TokenizerConfig:
-    lowercase: bool = True
-    min_token_len: int = 2
+_TOKEN = re.compile(r"\w{2,}")
+# what `tokenize` does, as tfidf.json records it
+_TOKENIZER = {"lowercase": True, "min_token_len": 2}
 
 
-DEFAULT_TOKENIZER = TokenizerConfig()
-
-
-@lru_cache(maxsize=8)
-def _token_pattern(min_len: int) -> re.Pattern:
-    return re.compile(rf"\w{{{min_len},}}")
-
-
-def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str]:
-    """Maximal runs of word characters of the configured minimum length."""
-    if config.lowercase:
-        text = text.lower()
-    return _token_pattern(config.min_token_len).findall(text)
+def tokenize(text: str) -> list[str]:
+    """Maximal runs of two or more word characters of the lowercased text."""
+    return _TOKEN.findall(text.lower())
 
 
 @dataclass
@@ -50,7 +38,6 @@ class TfIdfModel:
     idf: np.ndarray
     doc_freq: np.ndarray
     doc_count: int
-    config: TokenizerConfig
 
     @property
     def dim(self) -> int:
@@ -63,7 +50,6 @@ def _smoothed_idf(doc_count: int, doc_freq: np.ndarray) -> np.ndarray:
 
 def fit_tfidf(
     docs: Iterable[str],
-    config: TokenizerConfig = DEFAULT_TOKENIZER,
     exclude: Callable[[str], bool] | None = None,
 ) -> TfIdfModel:
     """Fit vocabulary and idf weights over normalized texts.
@@ -76,7 +62,7 @@ def fit_tfidf(
     n_docs = 0
     for text in docs:
         n_docs += 1
-        df.update(set(tokenize(text, config)))
+        df.update(set(tokenize(text)))
     if exclude is not None:
         df = Counter({t: c for t, c in df.items() if not exclude(t)})
     if not df:
@@ -88,7 +74,6 @@ def fit_tfidf(
         idf=_smoothed_idf(n_docs, doc_freq),
         doc_freq=doc_freq,
         doc_count=n_docs,
-        config=config,
     )
 
 
@@ -104,7 +89,7 @@ def transform(model: TfIdfModel, texts: Iterable[str]) -> sparse.csr_matrix:
     indptr = [0]
     for text in texts:
         counts: Counter[int] = Counter()
-        for token in tokenize(text, model.config):
+        for token in tokenize(text):
             idx = model.vocabulary.get(token)
             if idx is not None:
                 counts[idx] += 1
@@ -135,10 +120,7 @@ TFIDF_FORMAT_VERSION = 1
 def save_tfidf(model: TfIdfModel, path: str | Path) -> None:
     doc = {
         "format_version": TFIDF_FORMAT_VERSION,
-        "config": {
-            "lowercase": model.config.lowercase,
-            "min_token_len": model.config.min_token_len,
-        },
+        "config": _TOKENIZER,
         "doc_count": model.doc_count,
         "vocabulary": {
             token: [idx, int(model.doc_freq[idx])]
@@ -174,18 +156,14 @@ def _tfidf_from_doc(doc: dict) -> tuple[TfIdfModel, str]:
         doc_freq[idx] = df
     if sorted(vocabulary.values()) != list(range(len(vocabulary))):
         raise ValueError("vocabulary indices are not 0..n-1")
-    config = TokenizerConfig(
-        lowercase=doc["config"]["lowercase"],
-        min_token_len=doc["config"]["min_token_len"],
-    )
-    if (not isinstance(config.lowercase, bool)
-            or type(config.min_token_len) is not int):
-        raise TypeError(f"bad tokenizer config {doc['config']!r}")
+    if (json.dumps(doc["config"], sort_keys=True)
+            != json.dumps(_TOKENIZER, sort_keys=True)):
+        raise ValueError(f"tokenizer config {doc['config']!r} is not "
+                         f"{_TOKENIZER!r}, so the file was tokenized differently")
     model = TfIdfModel(
         vocabulary=vocabulary,
         idf=_smoothed_idf(doc["doc_count"], doc_freq),
         doc_freq=doc_freq,
         doc_count=doc["doc_count"],
-        config=config,
     )
     return model, doc["idf_sha256"]

@@ -737,16 +737,16 @@ def _model_from_doc(doc: dict) -> tuple[LinearModel | TreeModel, str]:
     bias = np.array(doc["bias"], dtype=np.float64)
     if bias.shape != (len(class_order),) or len(doc["weights"]) != len(class_order):
         raise ValueError("bias and weights need one entry per class")
+    if not isinstance(doc["converged"], bool):
+        raise TypeError(f"converged is {type(doc['converged']).__name__}, not bool")
     weights = np.zeros((dim, len(class_order)))
     for c, row in enumerate(doc["weights"]):
         weights[np.array(row["indices"], dtype=np.intp), c] = row["values"]
     return LinearModel(
         kind=doc["kind"], weights=weights, bias=bias,
         class_order=class_order, hyperparams=hp, dim=dim,
-        n_iter=int(doc.get("n_iter", 0)),
-        cg_products=int(doc.get("cg_products", 0)),
-        converged=bool(doc.get("converged", False)),
-        final_grad_norm=float(doc.get("final_grad_norm", math.inf)),
-        loss_histories=tuple(tuple(map(float, h))
-                             for h in doc.get("loss_histories", ())),
+        n_iter=int(doc["n_iter"]), cg_products=int(doc["cg_products"]),
+        converged=doc["converged"],
+        final_grad_norm=float(doc["final_grad_norm"]),
+        loss_histories=tuple(tuple(map(float, h)) for h in doc["loss_histories"]),
     ), checksum

@@ -184,6 +184,10 @@ class TestMetricProperties:
         f1s = [m.f1 for m in per_class]
         w = weighted_f1(per_class)
         assert min(f1s) - 1e-12 <= w <= max(f1s) + 1e-12
+        report = build_report("m", true, pred, LABEL_POOL)
+        assert report_from_json(render_report(report, "json")) == report
+        assert report.zero_division == tuple(
+            cls for i, cls in enumerate(LABEL_POOL) if counts[i][i] == 0)
 
     def test_permutation_invariance(self):
         rng = random.Random(5)

@@ -1,12 +1,15 @@
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from episilver import cli
 from episilver.errors import DataError, FitError
 from episilver.features import (
-    TokenizerConfig,
     fit_tfidf,
     idf_checksum,
     load_tfidf,
@@ -14,6 +17,8 @@ from episilver.features import (
     tokenize,
     transform,
 )
+from episilver.labeling import EpidemicClass as EC
+from episilver.synth import SynthSpec, write_corpus
 
 WORDS = ["flu", "cold", "cough", "fever", "rest", "tea"]
 
@@ -27,14 +32,6 @@ class TestTokenize:
 
     def test_punctuation_split(self):
         assert tokenize("H1N1 #mers") == ["h1n1", "mers"]
-
-    def test_case_preserved_when_configured(self):
-        config = TokenizerConfig(lowercase=False)
-        assert tokenize("AIDS Watch", config) == ["AIDS", "Watch"]
-
-    def test_min_token_len_config(self):
-        config = TokenizerConfig(min_token_len=4)
-        assert tokenize("flu fever tea", config) == ["fever"]
 
 
 class TestFit:
@@ -181,7 +178,6 @@ class TestPersistence:
         assert loaded.vocabulary == model.vocabulary
         assert np.allclose(loaded.idf, model.idf)
         assert loaded.doc_count == model.doc_count
-        assert loaded.config == model.config
         assert idf_checksum(loaded) == idf_checksum(model)
         assert np.array_equal(transform(loaded, ["flu cold"]).toarray(),
                               transform(model, ["flu cold"]).toarray())
@@ -195,3 +191,48 @@ class TestPersistence:
                         encoding="utf-8")
         with pytest.raises(DataError, match="checksum"):
             load_tfidf(path)
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A dataset, tfidf.json and logistic model that `eval` accepts."""
+    root = tmp_path_factory.mktemp("trained")
+    counts = {EC.CHOLERA: 12, EC.EBOLA: 12, EC.NON_EPIDEMIC: 40}
+    write_corpus(SynthSpec(class_counts=counts, seed=3), str(root / "corpus.jsonl"))
+    steps = [
+        ["ingest", "--input", str(root / "corpus.jsonl"),
+         "--out", str(root / "docs.tsv"), "--threads", "1"],
+        ["label", "--input", str(root / "docs.tsv"),
+         "--out", str(root / "dataset.tsv"), "--classes", "cholera,ebola"],
+        ["train", "--dataset", str(root / "dataset.tsv"), "--out", str(root),
+         "--model", "logistic"],
+        ["eval", "--dataset", str(root / "dataset.tsv"), "--tfidf",
+         str(root / "tfidf.json"), "--model-file",
+         str(root / "model-logistic.json"), "--out", str(root)],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        for argv in steps:
+            assert cli.main(argv) == 0, argv
+    return root
+
+
+@pytest.mark.parametrize("config", [
+    {"lowercase": False, "min_token_len": 2},
+    {"lowercase": True, "min_token_len": 3},
+    {"lowercase": 1, "min_token_len": 2},
+], ids=["case-kept", "min-len-3", "int-lowercase"])
+def test_eval_rejects_a_tfidf_file_tokenized_differently(
+        trained, tmp_path, capsys, config):
+    doc = json.loads((trained / "tfidf.json").read_text())
+    doc["config"] = config
+    path = tmp_path / "tfidf.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["eval", "--dataset", str(trained / "dataset.tsv"),
+                     "--tfidf", str(path),
+                     "--model-file", str(trained / "model-logistic.json"),
+                     "--out", str(tmp_path / "out")]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "DataError"
+    assert str(path) in record["message"] and "tokenizer config" in record["message"]

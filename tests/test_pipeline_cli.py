@@ -595,6 +595,14 @@ def _zero_support(doc):
         m["support"] = 0
 
 
+def _edit_summary(doc):
+    doc.update(accuracy=0.1, weighted_f1=0.2, zero_division=["cholera"])
+
+
+def _bool_count(doc):
+    doc["confusion"][0][0] = True
+
+
 REPORT_DAMAGE = {
     "empty-class-order": _damage_report,
     "string-metric": lambda doc: doc["per_class"][0].update(precision="a"),
@@ -607,6 +615,11 @@ REPORT_DAMAGE = {
     "row-missing": lambda doc: doc["per_class"].pop(),
     "confusion-row-missing": lambda doc: doc["confusion"].pop(),
     "confusion-column-missing": lambda doc: doc["confusion"][0].pop(),
+    "edited-summary": _edit_summary,
+    "extra-key": lambda doc: doc.update(note=None),
+    "bool-count": _bool_count,
+    "nudged-f1": lambda doc: doc["per_class"][0].update(
+        f1=doc["per_class"][0]["f1"] + 1e-12),
 }
 
 
@@ -622,6 +635,50 @@ def test_report_with_a_bad_value_is_a_data_error(
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "DataError" and str(path) in record["message"]
+
+
+def test_report_names_the_values_its_matrix_does_not_give(
+        default_run, tmp_path, capsys):
+    doc = json.loads((default_run / "report-logistic.json").read_text())
+    _edit_summary(doc)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", "--report", str(path)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert ("accuracy, weighted_f1, zero_division not as the confusion matrix "
+            "gives") in json.loads(line)["message"]
+
+
+@pytest.mark.parametrize("kind", ["logistic", "svm", "tree"])
+def test_report_json_reproduces_the_file(default_run, capsys, kind):
+    path = default_run / f"report-{kind}.json"
+    assert main(["report", "--report", str(path), "--format", "json"]) == 0
+    assert capsys.readouterr().out == path.read_text()
+
+
+MODEL_DAMAGE = {
+    **{f"no-{key}": (lambda doc, key=key: doc.pop(key)) for key in (
+        "n_iter", "cg_products", "converged", "final_grad_norm",
+        "loss_histories")},
+    "string-converged": lambda doc: doc.update(converged="no"),
+    "int-converged": lambda doc: doc.update(converged=1),
+}
+
+
+@pytest.mark.parametrize("damage", MODEL_DAMAGE)
+def test_model_file_without_its_convergence_record_is_rejected(
+        default_run, tmp_path, capsys, damage):
+    doc = json.loads((default_run / "model-logistic.json").read_text())
+    MODEL_DAMAGE[damage](doc)
+    path = tmp_path / "model-logistic.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", "--dataset", str(default_run / "dataset.tsv"),
+                 "--tfidf", str(default_run / "tfidf.json"),
+                 "--model-file", str(path), "--out", str(tmp_path / "out"),
+                 "--seed", "99"]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
     record = json.loads(line)
     assert record["error"] == "DataError" and str(path) in record["message"]
 
