@@ -7,8 +7,11 @@ emit a machine-readable error record.
 """
 
 import copyreg
+import json
 import zlib
+from collections.abc import Callable
 from contextlib import contextmanager
+from typing import Any
 
 
 class PipelineError(Exception):
@@ -111,3 +114,32 @@ def stage(name: str):
         raise
     except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
         raise DataError(str(exc), stage=name) from exc
+
+
+def read_document(data: bytes | str, origin: str, what: str, version: int,
+                  build: Callable[[dict], Any], dump: Callable[[Any], dict],
+                  basis: str = "saving it again") -> Any:
+    """Load a JSON file the program wrote: `build` makes the object, giving
+    each value its declared type, and the file is accepted only if `dump`,
+    the saver's document for it, gives it back, top-level key by key.
+    Invalid UTF-8 or JSON, another format version, a key that differs or
+    that one side lacks, a missing key and a value of the wrong type, shape
+    or range raise one DataError naming `origin`, `what` and the keys."""
+    try:
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        if doc.get("format_version") != version:
+            raise ValueError("unsupported format version")
+        loaded = build(doc)
+        saved = dump(loaded)
+        differ = sorted(
+            key for key in doc.keys() | saved.keys()
+            if key not in doc or key not in saved
+            or json.dumps(doc[key], sort_keys=True)
+            != json.dumps(saved[key], sort_keys=True))
+        if differ:
+            raise ValueError(f"{', '.join(differ)} not as {basis} gives")
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError,
+            RecursionError, ConfigError) as exc:
+        raise DataError(
+            f"{origin}: malformed {what}: {type(exc).__name__}: {exc}") from exc
+    return loaded

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .errors import DataError, FitError
+from .errors import FitError, read_document
 
 
 _TOKEN = re.compile(r"\w{2,}")
@@ -117,8 +117,8 @@ def idf_checksum(model: TfIdfModel) -> str:
 TFIDF_FORMAT_VERSION = 1
 
 
-def save_tfidf(model: TfIdfModel, path: str | Path) -> None:
-    doc = {
+def _tfidf_json(model: TfIdfModel) -> dict:
+    return {
         "format_version": TFIDF_FORMAT_VERSION,
         "config": _TOKENIZER,
         "doc_count": model.doc_count,
@@ -128,42 +128,40 @@ def save_tfidf(model: TfIdfModel, path: str | Path) -> None:
         },
         "idf_sha256": idf_checksum(model),
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+
+
+def save_tfidf(model: TfIdfModel, path: str | Path) -> None:
+    Path(path).write_text(json.dumps(_tfidf_json(model), sort_keys=True),
+                          encoding="utf-8")
 
 
 def load_tfidf(path: str | Path) -> TfIdfModel:
     """Load a persisted model; idf is recomputed and checksum-verified.
-    Invalid JSON, a missing key or a value of the wrong type or shape
-    raises DataError."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if doc.get("format_version") != TFIDF_FORMAT_VERSION:
-            raise DataError(f"{path}: unsupported format version")
-        model, checksum = _tfidf_from_doc(doc)
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
-        raise DataError(f"{path}: malformed feature model file: "
-                        f"{type(exc).__name__}: {exc}") from exc
-    if idf_checksum(model) != checksum:
-        raise DataError(f"{path}: idf checksum mismatch")
-    return model
+    Accepted only if saving the model again gives the file back
+    (`errors.read_document`); otherwise DataError names the file."""
+    return read_document(Path(path).read_bytes(), str(path), "feature model file",
+                         TFIDF_FORMAT_VERSION, _tfidf_from_doc, _tfidf_json)
 
 
-def _tfidf_from_doc(doc: dict) -> tuple[TfIdfModel, str]:
+def _tfidf_from_doc(doc: dict) -> TfIdfModel:
     vocabulary = {}
     doc_freq = np.zeros(len(doc["vocabulary"]), dtype=np.float64)
     for token, (idx, df) in doc["vocabulary"].items():
-        vocabulary[token] = idx
-        doc_freq[idx] = df
+        vocabulary[token] = int(idx)
+        doc_freq[vocabulary[token]] = df
     if sorted(vocabulary.values()) != list(range(len(vocabulary))):
         raise ValueError("vocabulary indices are not 0..n-1")
     if (json.dumps(doc["config"], sort_keys=True)
             != json.dumps(_TOKENIZER, sort_keys=True)):
         raise ValueError(f"tokenizer config {doc['config']!r} is not "
                          f"{_TOKENIZER!r}, so the file was tokenized differently")
+    doc_count = int(doc["doc_count"])
     model = TfIdfModel(
         vocabulary=vocabulary,
-        idf=_smoothed_idf(doc["doc_count"], doc_freq),
+        idf=_smoothed_idf(doc_count, doc_freq),
         doc_freq=doc_freq,
-        doc_count=doc["doc_count"],
+        doc_count=doc_count,
     )
-    return model, doc["idf_sha256"]
+    if idf_checksum(model) != doc["idf_sha256"]:
+        raise ValueError("idf checksum mismatch")
+    return model

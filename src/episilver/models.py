@@ -44,6 +44,7 @@ from .errors import (
     DivergenceError,
     ShapeError,
     StratificationError,
+    read_document,
 )
 from .labeling import EpidemicClass
 
@@ -605,26 +606,18 @@ def train_decision_tree(
     )
 
 
-def _argmax_rows(scores: np.ndarray) -> np.ndarray:
-    # np.argmax returns the first maximum: ties break to the lowest
-    # class index by construction.
-    return scores.argmax(axis=1)
-
-
-def _check_dim(X: sparse.csr_matrix, dim: int) -> None:
-    if X.shape[1] != dim:
-        raise ShapeError(f"feature dimension {X.shape[1]} != model {dim}")
-
-
 def predict(
     model: LinearModel | TreeModel, X: sparse.csr_matrix
 ) -> list[EpidemicClass]:
     """Argmax of class scores (linear) or routed leaf class (tree)."""
-    _check_dim(X, model.dim)
+    if X.shape[1] != model.dim:
+        raise ShapeError(f"feature dimension {X.shape[1]} != model {model.dim}")
     if isinstance(model, TreeModel):
         return _predict_tree(model, X)
     scores = X @ model.weights + model.bias
-    return [model.class_order[i] for i in _argmax_rows(scores)]
+    # np.argmax returns the first maximum: ties break to the lowest
+    # class index by construction.
+    return [model.class_order[i] for i in scores.argmax(axis=1)]
 
 
 def _predict_tree(model: TreeModel, X: sparse.csr_matrix) -> list[EpidemicClass]:
@@ -650,10 +643,7 @@ def _predict_tree(model: TreeModel, X: sparse.csr_matrix) -> list[EpidemicClass]
 MODEL_FORMAT_VERSION = 2
 
 
-def save_model(
-    model: LinearModel | TreeModel, path: str | Path, tfidf_checksum: str
-) -> None:
-    """Persist a trained model with the feature-model checksum it expects."""
+def _model_json(model: LinearModel | TreeModel, tfidf_checksum: str) -> dict:
     doc: dict = {
         "format_version": MODEL_FORMAT_VERSION,
         "classes": [c.label for c in model.class_order],
@@ -684,35 +674,32 @@ def save_model(
             nz = np.nonzero(col)[0]
             rows.append({"indices": nz.tolist(), "values": col[nz].tolist()})
         doc["weights"] = rows
-    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    return doc
+
+
+def save_model(
+    model: LinearModel | TreeModel, path: str | Path, tfidf_checksum: str
+) -> None:
+    """Persist a trained model with the feature-model checksum it expects."""
+    Path(path).write_text(json.dumps(_model_json(model, tfidf_checksum),
+                                     sort_keys=True), encoding="utf-8")
 
 
 def load_model(path: str | Path) -> tuple[LinearModel | TreeModel, str]:
     """Load a persisted model; returns (model, expected tfidf checksum).
-
-    Invalid JSON, a missing key, or a value of the wrong type or shape
-    raises DataError.
-    """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if doc.get("format_version") != MODEL_FORMAT_VERSION:
-            raise DataError(f"{path}: unsupported format version")
-        return _model_from_doc(doc)
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError,
-            ConfigError) as exc:
-        raise DataError(
-            f"{path}: malformed model file: {type(exc).__name__}: {exc}"
-        ) from exc
+    Accepted only if saving the model again gives the file back
+    (`errors.read_document`); otherwise DataError names the file."""
+    return read_document(Path(path).read_bytes(), str(path), "model file",
+                         MODEL_FORMAT_VERSION, _model_from_doc,
+                         lambda loaded: _model_json(*loaded))
 
 
 def _model_from_doc(doc: dict) -> tuple[LinearModel | TreeModel, str]:
     class_order = tuple(EpidemicClass.from_label(t) for t in doc["classes"])
     dim = int(doc["dim"])
-    checksum = doc["tfidf_sha256"]
-    if not isinstance(checksum, str):
-        raise TypeError(f"tfidf_sha256 is {type(checksum).__name__}, not str")
+    checksum = str(doc["tfidf_sha256"])
+    params = doc["hyperparams"]
     if doc["kind"] == "tree":
-        hp = TreeHyperparams(**doc["hyperparams"])
         nodes = tuple(
             TreeNode(leaf_class=int(n["leaf"])) if "leaf" in n else TreeNode(
                 feature=int(n["feature"]), threshold=float(n["threshold"]),
@@ -725,20 +712,21 @@ def _model_from_doc(doc: dict) -> tuple[LinearModel | TreeModel, str]:
         # preorder ids: children follow their parent, so routing ends
         for i, n in enumerate(nodes):
             ok = (n.leaf_class < len(class_order) if n.is_leaf
-                  else i < n.left < len(nodes) and i < n.right < len(nodes))
+                  else 0 <= n.feature < dim
+                  and i < n.left < len(nodes) and i < n.right < len(nodes))
             if not ok:
-                raise ValueError(f"node {i} links outside the tree")
+                raise ValueError(f"node {i} links outside the tree or the features")
+        hp = TreeHyperparams(max_depth=int(params["max_depth"]), seed=int(params["seed"]))
         return TreeModel(
             nodes=nodes, class_order=class_order, hyperparams=hp, dim=dim
         ), checksum
     if doc["kind"] not in ("logistic", "svm"):
         raise ValueError(f"unknown model kind {doc['kind']!r}")
-    hp = LinearHyperparams(**doc["hyperparams"])
+    hp = LinearHyperparams(strength=float(params["strength"]),
+                           max_iter=int(params["max_iter"]), tol=float(params["tol"]))
     bias = np.array(doc["bias"], dtype=np.float64)
-    if bias.shape != (len(class_order),) or len(doc["weights"]) != len(class_order):
-        raise ValueError("bias and weights need one entry per class")
-    if not isinstance(doc["converged"], bool):
-        raise TypeError(f"converged is {type(doc['converged']).__name__}, not bool")
+    if bias.shape != (len(class_order),):
+        raise ValueError("bias needs one entry per class")
     weights = np.zeros((dim, len(class_order)))
     for c, row in enumerate(doc["weights"]):
         weights[np.array(row["indices"], dtype=np.intp), c] = row["values"]
@@ -746,7 +734,7 @@ def _model_from_doc(doc: dict) -> tuple[LinearModel | TreeModel, str]:
         kind=doc["kind"], weights=weights, bias=bias,
         class_order=class_order, hyperparams=hp, dim=dim,
         n_iter=int(doc["n_iter"]), cg_products=int(doc["cg_products"]),
-        converged=doc["converged"],
+        converged=bool(doc["converged"]),
         final_grad_norm=float(doc["final_grad_norm"]),
         loss_histories=tuple(tuple(map(float, h)) for h in doc["loss_histories"]),
     ), checksum

@@ -236,3 +236,30 @@ def test_eval_rejects_a_tfidf_file_tokenized_differently(
     record = json.loads(line)
     assert record["error"] == "DataError"
     assert str(path) in record["message"] and "tokenizer config" in record["message"]
+
+
+def _float_doc_freq(doc):
+    entry = doc["vocabulary"][min(doc["vocabulary"])]
+    entry[1] = float(entry[1])
+
+
+@pytest.mark.parametrize("damage, key", [
+    (lambda doc: doc.update(doc_count=float(doc["doc_count"])), "doc_count"),
+    (_float_doc_freq, "vocabulary"),
+    (lambda doc: doc.update(note=None), "note"),
+], ids=["float-doc-count", "float-doc-freq", "extra-key"])
+def test_eval_rejects_a_tfidf_file_that_saving_does_not_give_back(
+        trained, tmp_path, capsys, damage, key):
+    doc = json.loads((trained / "tfidf.json").read_text())
+    damage(doc)
+    path = tmp_path / "tfidf.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["eval", "--dataset", str(trained / "dataset.tsv"),
+                     "--tfidf", str(path),
+                     "--model-file", str(trained / "model-logistic.json"),
+                     "--out", str(tmp_path / "out")]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "DataError"
+    assert record["message"].startswith(f"{path}: malformed feature model file")
+    assert f"{key} not as saving it again gives" in record["message"]

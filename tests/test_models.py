@@ -510,8 +510,12 @@ class TestPersistence:
         lambda doc: {**doc, "bias": doc["bias"][:-1]},
         lambda doc: {**doc, "weights": [{"indices": ["x"], "values": [1.0]}] * 3},
         lambda doc: {**doc, "classes": ["plague", "mers", "ebola"]},
+        lambda doc: {**doc, "dim": float(doc["dim"])},
+        lambda doc: {**doc, "dim": str(doc["dim"])},
+        lambda doc: "[" * 100_000,
     ], ids=["invalid-json", "no-classes", "not-an-object", "dim-not-int",
-            "checksum-not-str", "short-bias", "bad-indices", "unknown-class"])
+            "checksum-not-str", "short-bias", "bad-indices", "unknown-class",
+            "float-dim", "string-dim", "nested-too-deep"])
     def test_malformed_linear_file_is_data_error(self, tmp_path, edit):
         rng = random.Random(19)
         X = random_sparse(rng, 9, 4)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import episilver
-from episilver import cli, labeling, pipeline
+from episilver import cli, features, labeling, models, pipeline
 from episilver.cli import main
 from episilver.errors import ConfigError, DataError
 from episilver.labeling import EpidemicClass as EC
@@ -620,6 +620,7 @@ REPORT_DAMAGE = {
     "bool-count": _bool_count,
     "nudged-f1": lambda doc: doc["per_class"][0].update(
         f1=doc["per_class"][0]["f1"] + 1e-12),
+    "dict-model-id": lambda doc: doc.update(model_id={"x": [1]}),
 }
 
 
@@ -658,12 +659,66 @@ def test_report_json_reproduces_the_file(default_run, capsys, kind):
     assert capsys.readouterr().out == path.read_text()
 
 
+@pytest.mark.parametrize("name", ["model-logistic.json", "model-svm.json",
+                                  "model-tree.json", "tfidf.json"])
+def test_saving_a_loaded_file_gives_its_bytes(default_run, tmp_path, name):
+    """Every file the program writes loads: re-saving gives it back."""
+    path, copy = default_run / name, tmp_path / name
+    if name == "tfidf.json":
+        features.save_tfidf(features.load_tfidf(path), copy)
+    else:
+        model, checksum = models.load_model(path)
+        models.save_model(model, copy, checksum)
+    assert copy.read_bytes() == path.read_bytes()
+
+
+def _as_tree(doc):
+    """The document of a valid three-node tree over the linear model's
+    classes (`eval` accepts it), so that a damaged tree field is the one
+    fault of the file."""
+    for key in ("n_iter", "cg_products", "converged", "final_grad_norm",
+                "loss_histories", "bias", "weights"):
+        del doc[key]
+    doc.update(kind="tree", hyperparams={"max_depth": 150, "seed": 0}, nodes=[
+        {"feature": 0, "threshold": 0.5, "left": 1, "right": 2},
+        {"leaf": 0}, {"leaf": 1}])
+    return doc
+
+
+def _pad_first_class(doc):
+    doc["classes"][0] = " " + doc["classes"][0].capitalize()
+
+
+def _string_loss(doc):
+    doc["loss_histories"][0][1] = str(doc["loss_histories"][0][1])
+
+
+def _string_weight(doc):
+    doc["weights"][0]["values"][0] = str(doc["weights"][0]["values"][0])
+
+
 MODEL_DAMAGE = {
     **{f"no-{key}": (lambda doc, key=key: doc.pop(key)) for key in (
         "n_iter", "cg_products", "converged", "final_grad_norm",
         "loss_histories")},
     "string-converged": lambda doc: doc.update(converged="no"),
     "int-converged": lambda doc: doc.update(converged=1),
+    "coerced-record": lambda doc: doc.update(
+        n_iter="7", cg_products=12.9, final_grad_norm="nan"),
+    "float-dim": lambda doc: doc.update(dim=float(doc["dim"])),
+    "string-dim": lambda doc: doc.update(dim=str(doc["dim"])),
+    "padded-class": _pad_first_class,
+    "string-strength": lambda doc: doc["hyperparams"].update(strength="1.0"),
+    "string-loss": _string_loss,
+    "string-weight": _string_weight,
+    "extra-key": lambda doc: doc.update(note=None),
+    "tree-string-max-depth": lambda doc: _as_tree(doc)["hyperparams"].update(
+        max_depth="150"),
+    "tree-float-leaf": lambda doc: _as_tree(doc)["nodes"][2].update(leaf=1.0),
+    "tree-string-threshold": lambda doc: _as_tree(doc)["nodes"][0].update(
+        threshold="0.5"),
+    "tree-feature-outside": lambda doc: _as_tree(doc)["nodes"][0].update(
+        feature=doc["dim"]),
 }
 
 
