@@ -40,6 +40,9 @@ from .labeling import (
 )
 
 DOCS_HEADER = "id\ttext"
+# characters of an error message that its record keeps: the start names
+# the file, the kind and the keys; a quoted bad value may run on and on
+MESSAGE_LIMIT = 500
 
 
 def _parse_classes(spec: str) -> tuple[EpidemicClass, ...]:
@@ -88,11 +91,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     spec = SynthSpec(
         class_counts=_parse_counts(args.counts),
-        background_vocab=args.background_vocab,
-        signal_vocab=args.signal_vocab,
-        keyword_injection_prob=args.keyword_prob,
         noise_token_rate=args.noise_rate,
-        noise_vocab=args.noise_vocab,
         retweet_rate=args.retweet_rate,
         duplicate_rate=args.duplicate_rate,
         url_rate=args.url_rate,
@@ -235,10 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", required=True,
                    help="per-class counts, e.g. cholera=100,non_epidemic=200")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--background-vocab", type=int, default=500)
-    p.add_argument("--signal-vocab", type=int, default=20)
-    p.add_argument("--noise-vocab", type=int, default=10000)
-    p.add_argument("--keyword-prob", type=float, default=0.3)
     p.add_argument("--noise-rate", type=float, default=0.0)
     p.add_argument("--retweet-rate", type=float, default=0.0)
     p.add_argument("--duplicate-rate", type=float, default=0.0)
@@ -312,10 +307,14 @@ def main(argv: list[str] | None = None) -> int:
         with stage(args.command):
             return args.func(args)
     except PipelineError as exc:
+        message = str(exc)
+        if len(message) > MESSAGE_LIMIT:
+            message = (f"{message[:MESSAGE_LIMIT]}... "
+                       f"[{len(message) - MESSAGE_LIMIT} characters cut]")
         record = {
             "stage": exc.stage,
             "error": type(exc).__name__,
-            "message": str(exc),
+            "message": message,
         }
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return exc.exit_code

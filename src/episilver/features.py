@@ -14,6 +14,7 @@ import re
 from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +35,10 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass
 class TfIdfModel:
+    """A fitted vocabulary and the document frequencies of its tokens;
+    `idf` is derived from them, computed once per instance."""
+
     vocabulary: dict[str, int]
-    idf: np.ndarray
     doc_freq: np.ndarray
     doc_count: int
 
@@ -43,9 +46,9 @@ class TfIdfModel:
     def dim(self) -> int:
         return len(self.vocabulary)
 
-
-def _smoothed_idf(doc_count: int, doc_freq: np.ndarray) -> np.ndarray:
-    return np.log((1.0 + doc_count) / (1.0 + doc_freq)) + 1.0
+    @cached_property
+    def idf(self) -> np.ndarray:
+        return np.log((1.0 + self.doc_count) / (1.0 + self.doc_freq)) + 1.0
 
 
 def fit_tfidf(
@@ -69,12 +72,7 @@ def fit_tfidf(
         raise FitError("no usable tokens in the fitted documents")
     vocabulary = {token: i for i, token in enumerate(sorted(df))}
     doc_freq = np.array([df[token] for token in vocabulary], dtype=np.float64)
-    return TfIdfModel(
-        vocabulary=vocabulary,
-        idf=_smoothed_idf(n_docs, doc_freq),
-        doc_freq=doc_freq,
-        doc_count=n_docs,
-    )
+    return TfIdfModel(vocabulary=vocabulary, doc_freq=doc_freq, doc_count=n_docs)
 
 
 def transform(model: TfIdfModel, texts: Iterable[str]) -> sparse.csr_matrix:
@@ -155,13 +153,8 @@ def _tfidf_from_doc(doc: dict) -> TfIdfModel:
             != json.dumps(_TOKENIZER, sort_keys=True)):
         raise ValueError(f"tokenizer config {doc['config']!r} is not "
                          f"{_TOKENIZER!r}, so the file was tokenized differently")
-    doc_count = int(doc["doc_count"])
-    model = TfIdfModel(
-        vocabulary=vocabulary,
-        idf=_smoothed_idf(doc_count, doc_freq),
-        doc_freq=doc_freq,
-        doc_count=doc_count,
-    )
+    model = TfIdfModel(vocabulary=vocabulary, doc_freq=doc_freq,
+                       doc_count=int(doc["doc_count"]))
     if idf_checksum(model) != doc["idf_sha256"]:
         raise ValueError("idf checksum mismatch")
     return model

@@ -58,8 +58,6 @@ GAIN_EPSILON = 1e-12
 class DatasetSplit:
     train: tuple[int, ...]
     validation: tuple[int, ...]
-    ratio: float
-    seed: int
 
 
 def stratified_split(
@@ -88,12 +86,7 @@ def stratified_split(
         n_train = math.ceil(ratio * len(members))
         train.extend(members[:n_train])
         validation.extend(members[n_train:])
-    return DatasetSplit(
-        train=tuple(sorted(train)),
-        validation=tuple(sorted(validation)),
-        ratio=ratio,
-        seed=seed,
-    )
+    return DatasetSplit(tuple(sorted(train)), tuple(sorted(validation)))
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -190,7 +183,7 @@ def _newton(
     theta: np.ndarray,
     max_iter: int,
     tol: float,
-) -> tuple[np.ndarray, list[float], int, bool, float, int]:
+) -> tuple[np.ndarray, list[float], float, int]:
     """Truncated Newton steps with Armijo backtracking line search.
 
     Each step solves H d = -g by conjugate gradient from d = 0, with H the
@@ -202,16 +195,15 @@ def _newton(
     step with f(theta + t d) <= f(theta) + c t g'd, so the recorded loss
     history is non-increasing by construction. Stops at max_iter Newton
     steps, at gradient norm <= tol, or when no acceptable step exists.
-    Returns (theta, loss history, Newton steps, converged, final gradient
-    norm, Hessian-vector products), where converged means the gradient
-    norm reached tol.
+    Returns (theta, loss history, final gradient norm, Hessian-vector
+    products); the history holds one loss more than the Newton steps.
     """
     loss, grad = value_and_grad(theta)
     if not math.isfinite(loss):
         raise DivergenceError(f"non-finite initial loss {loss}")
     history = [loss]
     gnorm = math.sqrt(_dot(grad, grad))
-    iterations = products = 0
+    products = 0
     for _ in range(max_iter):
         if gnorm <= tol:
             break
@@ -235,10 +227,9 @@ def _newton(
         theta, loss, grad = trial, trial_loss, trial_grad
         gnorm = math.sqrt(_dot(grad, grad))
         history.append(loss)
-        iterations += 1
     if not math.isfinite(loss):
         raise DivergenceError(f"non-finite loss {loss}")
-    return theta, history, iterations, gnorm <= tol, gnorm, products
+    return theta, history, gnorm, products
 
 
 def _conjugate_gradient(
@@ -276,22 +267,32 @@ class LinearHyperparams:
 
 @dataclass
 class LinearModel:
+    """A trained linear model and its convergence record. `n_iter` and
+    `converged` are derived from the record, not stored beside it."""
+
     kind: str  # "logistic" or "svm"
     weights: np.ndarray  # (dim, n_classes)
     bias: np.ndarray  # (n_classes,)
     class_order: tuple[EpidemicClass, ...]
     hyperparams: LinearHyperparams
     dim: int
-    n_iter: int = 0  # Newton steps; for one-vs-rest, summed over the classes
-    cg_products: int = 0  # Hessian-vector products, summed the same way
-    # gradient norm reached tol; for one-vs-rest, in every class's run
-    converged: bool = False
+    cg_products: int = 0  # Hessian-vector products; for one-vs-rest, summed
     # final gradient norm; for one-vs-rest, the largest over the classes
     final_grad_norm: float = math.inf
     # one history per optimization run: a single run for the multinomial
     # objective, one per class for one-vs-rest
     loss_histories: tuple[tuple[float, ...], ...] = field(
         default=(), repr=False, compare=False)
+
+    @property
+    def n_iter(self) -> int:
+        """Newton steps; for one-vs-rest, summed over the classes."""
+        return sum(len(h) - 1 for h in self.loss_histories)
+
+    @property
+    def converged(self) -> bool:
+        """Gradient norm reached tol; for one-vs-rest, in every class's run."""
+        return self.final_grad_norm <= self.hyperparams.tol
 
 
 def _class_setup(y: Sequence[EpidemicClass]) -> tuple[tuple[EpidemicClass, ...], np.ndarray]:
@@ -335,7 +336,7 @@ def train_logistic(
         return lambda v: pack(*product(*unpack(v)))
 
     theta0 = np.zeros(dim * n_classes + n_classes)
-    theta, history, n_iter, converged, gnorm, products = _newton(
+    theta, history, gnorm, products = _newton(
         packed, hessian, theta0, hp.max_iter, hp.tol)
     weights, bias = unpack(theta)
     return LinearModel(
@@ -345,9 +346,7 @@ def train_logistic(
         class_order=class_order,
         hyperparams=hp,
         dim=dim,
-        n_iter=n_iter,
         cg_products=products,
-        converged=converged,
         final_grad_norm=gnorm,
         loss_histories=(tuple(history),),
     )
@@ -366,8 +365,7 @@ def train_linear_svm(
     weights = np.zeros((dim, len(class_order)))
     bias = np.zeros(len(class_order))
     histories: list[tuple[float, ...]] = []
-    total_iter = total_products = 0
-    converged = True
+    total_products = 0
     max_gnorm = 0.0
     for c in range(len(class_order)):
         y_pm = np.where(y_idx == c, 1.0, -1.0)
@@ -383,15 +381,13 @@ def train_linear_svm(
                 theta[:dim], theta[dim], X, y_pm, hp.strength)
             return lambda v: np.append(*product(v[:dim], v[dim]))
 
-        theta, history, n_iter, class_converged, gnorm, products = _newton(
+        theta, history, gnorm, products = _newton(
             packed, hessian, np.zeros(dim + 1), hp.max_iter, hp.tol
         )
         weights[:, c] = theta[:dim]
         bias[c] = theta[dim]
         histories.append(tuple(history))
-        total_iter += n_iter
         total_products += products
-        converged = converged and class_converged
         max_gnorm = max(max_gnorm, gnorm)
     return LinearModel(
         kind="svm",
@@ -400,9 +396,7 @@ def train_linear_svm(
         class_order=class_order,
         hyperparams=hp,
         dim=dim,
-        n_iter=total_iter,
         cg_products=total_products,
-        converged=converged,
         final_grad_norm=max_gnorm,
         loss_histories=tuple(histories),
     )
@@ -733,8 +727,7 @@ def _model_from_doc(doc: dict) -> tuple[LinearModel | TreeModel, str]:
     return LinearModel(
         kind=doc["kind"], weights=weights, bias=bias,
         class_order=class_order, hyperparams=hp, dim=dim,
-        n_iter=int(doc["n_iter"]), cg_products=int(doc["cg_products"]),
-        converged=bool(doc["converged"]),
+        cg_products=int(doc["cg_products"]),
         final_grad_norm=float(doc["final_grad_norm"]),
         loss_histories=tuple(tuple(map(float, h)) for h in doc["loss_histories"]),
     ), checksum

@@ -40,16 +40,18 @@ _EMOJI_POOL = ("\U0001F637", "\U0001F912", "\U0001F9A0", "\U0001F489", "☠️")
 _EMOTICON_POOL = (":(", ":)", ":-(", "xD", "<3")
 _SIG_PER_DOC = (1, 3)
 _BG_PER_DOC = (8, 14)
+# token vocabularies: per-class signal words, shared background words and
+# the noise words that replace background words at `noise_token_rate`
+_SIG_VOCAB = 20
+_BG_VOCAB = 500
+_NZ_VOCAB = 10_000
+_SECOND_KEYWORD_PROB = 0.3  # epidemic documents holding the keyword twice
 
 
 @dataclass(frozen=True)
 class SynthSpec:
     class_counts: Mapping[EpidemicClass, int]
-    background_vocab: int = 500
-    signal_vocab: int = 20
-    keyword_injection_prob: float = 0.3
     noise_token_rate: float = 0.0
-    noise_vocab: int = 10_000
     retweet_rate: float = 0.0
     duplicate_rate: float = 0.0
     url_rate: float = 0.2
@@ -63,15 +65,12 @@ class SynthSpec:
             if count < 0:
                 raise ConfigError(f"negative count {count} for class {cls.label}")
         for name in (
-            "keyword_injection_prob", "noise_token_rate", "retweet_rate",
-            "duplicate_rate", "url_rate", "emoji_rate", "emoticon_rate",
-            "non_english_rate",
+            "noise_token_rate", "retweet_rate", "duplicate_rate", "url_rate",
+            "emoji_rate", "emoticon_rate", "non_english_rate",
         ):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name}={value} outside [0, 1]")
-        if self.background_vocab < 1 or self.noise_vocab < 1 or self.signal_vocab < 1:
-            raise ConfigError("vocabulary sizes must be at least 1")
 
 
 def _random_case(rng: random.Random, word: str) -> str:
@@ -98,14 +97,14 @@ def _keyword(rng: random.Random, cls: EpidemicClass) -> str:
 
 def _body_tokens(rng: random.Random, spec: SynthSpec, cls: EpidemicClass) -> list[str]:
     tokens = [
-        f"sig{cls.value}w{rng.randrange(spec.signal_vocab)}"
+        f"sig{cls.value}w{rng.randrange(_SIG_VOCAB)}"
         for _ in range(rng.randint(*_SIG_PER_DOC))
     ]
     for _ in range(rng.randint(*_BG_PER_DOC)):
         if rng.random() < spec.noise_token_rate:
-            tokens.append(f"nz{rng.randrange(spec.noise_vocab)}")
+            tokens.append(f"nz{rng.randrange(_NZ_VOCAB)}")
         else:
-            tokens.append(f"bg{rng.randrange(spec.background_vocab)}")
+            tokens.append(f"bg{rng.randrange(_BG_VOCAB)}")
     return tokens
 
 
@@ -118,13 +117,13 @@ def _make_text(
     tokens = _body_tokens(rng, spec, cls)
     if cls is not EpidemicClass.NON_EPIDEMIC:
         tokens.insert(rng.randrange(len(tokens) + 1), _keyword(rng, cls))
-        if rng.random() < spec.keyword_injection_prob:
+        if rng.random() < _SECOND_KEYWORD_PROB:
             tokens.insert(rng.randrange(len(tokens) + 1), _keyword(rng, cls))
     text = " ".join(tokens)
     if seen is not None:
         # Planted duplicates must be the only duplicates: pad until unique.
         while text in seen:
-            text += f" bg{rng.randrange(spec.background_vocab)}"
+            text += f" bg{rng.randrange(_BG_VOCAB)}"
         seen.add(text)
     return text
 

@@ -570,10 +570,41 @@ def test_bad_input_exits_3_with_one_json_line(bad_inputs, argv, stage, names):
     assert names.format(**bad_inputs) in record["message"]
 
 
-@pytest.mark.parametrize("loader", ["report", "tfidf", "model"])
-def test_loader_error_is_short_and_names_the_file(default_run, tmp_path, capsys, loader):
+LONG_VALUE = "x" * 100_000
+
+
+def _model_with(run, edit):
+    doc = json.loads((run / "model-logistic.json").read_text())
+    edit(doc)
+    return json.dumps(doc).encode()
+
+
+def _long_first_class(doc):
+    doc["classes"][0] = LONG_VALUE
+
+
+def _dataset_with_long_label(run):
+    header, first, *rest = (run / "dataset.tsv").read_text().splitlines(True)
+    tweet_id, _, text = first.split("\t")
+    return "".join([header, f"{tweet_id}\t{LONG_VALUE}\t{text}", *rest]).encode()
+
+
+@pytest.mark.parametrize("loader, content", [
+    pytest.param("report", None, id="report"),
+    pytest.param("tfidf", None, id="tfidf"),
+    pytest.param("model", None, id="model"),
+    pytest.param("model", lambda run: _model_with(
+        run, lambda doc: doc.update(final_grad_norm=LONG_VALUE)),
+        id="model-long-grad-norm"),
+    pytest.param("model", lambda run: _model_with(run, _long_first_class),
+                 id="model-long-class"),
+    pytest.param("dataset", _dataset_with_long_label, id="dataset-long-label"),
+])
+def test_loader_error_is_short_and_names_the_file(
+        default_run, tmp_path, capsys, loader, content):
     junk = tmp_path / "junk.bin"
-    junk.write_bytes(random.Random(7).randbytes(100_000))
+    junk.write_bytes(random.Random(7).randbytes(100_000) if content is None
+                     else content(default_run))
     run = {"dataset": str(default_run / "dataset.tsv"),
            "tfidf": str(default_run / "tfidf.json"),
            "model": str(default_run / "model-logistic.json"), loader: str(junk)}
@@ -719,6 +750,11 @@ MODEL_DAMAGE = {
         threshold="0.5"),
     "tree-feature-outside": lambda doc: _as_tree(doc)["nodes"][0].update(
         feature=doc["dim"]),
+    # a record that contradicts itself: n_iter and converged are what the
+    # histories and the final gradient norm give
+    "n_iter-plus-one": lambda doc: doc.update(n_iter=doc["n_iter"] + 1),
+    "converged-flipped": lambda doc: doc.update(converged=not doc["converged"]),
+    "norm-above-tol": lambda doc: doc.update(final_grad_norm=1.0),
 }
 
 
@@ -736,6 +772,19 @@ def test_model_file_without_its_convergence_record_is_rejected(
     (line,) = capsys.readouterr().err.splitlines()
     record = json.loads(line)
     assert record["error"] == "DataError" and str(path) in record["message"]
+
+
+@pytest.mark.parametrize("damage, key", [
+    ("n_iter-plus-one", "n_iter"), ("converged-flipped", "converged"),
+    ("norm-above-tol", "converged")])
+def test_self_contradicting_model_file_names_the_key(default_run, tmp_path,
+                                                     damage, key):
+    doc = json.loads((default_run / "model-logistic.json").read_text())
+    MODEL_DAMAGE[damage](doc)
+    path = tmp_path / "model-logistic.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"ValueError: {key} not as saving it again"):
+        models.load_model(path)
 
 
 def test_model_file_of_the_previous_format_is_rejected(default_run, tmp_path, capsys):

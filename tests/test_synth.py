@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -30,6 +31,16 @@ class TestDeterminism:
         a = corpus_bytes(SynthSpec(class_counts=counts, seed=1))
         b = corpus_bytes(SynthSpec(class_counts=counts, seed=2))
         assert a != b
+
+    def test_pinned_bytes(self):
+        """The generator's output for a fixed spec that draws on every
+        module constant (signal, background and noise tokens, second
+        keywords) is pinned."""
+        spec = SynthSpec(
+            class_counts={cls: 40 for cls in EC}, noise_token_rate=0.2,
+            retweet_rate=0.1, duplicate_rate=0.1, non_english_rate=0.1, seed=0)
+        assert hashlib.sha256(corpus_bytes(spec)).hexdigest() == (
+            "efcbf45695864fcb7ee0562f8e71f9db9d80f9eeed1e6484e7616f0055cb999b")
 
 
 class TestConstructionGuarantees:
