@@ -31,7 +31,6 @@ from .errors import ConfigError, DataError, PipelineError, stage
 from .labeling import (
     MULTI_MATCH_POLICIES,
     EpidemicClass,
-    default_ruleset,
     label_documents,
     load_ruleset,
     read_dataset_tsv,
@@ -40,8 +39,8 @@ from .labeling import (
 )
 
 DOCS_HEADER = "id\ttext"
-# characters of an error message that its record keeps: the start names
-# the file, the kind and the keys; a quoted bad value may run on and on
+# bytes of an error message, JSON-escaped, that its record keeps: the start
+# names the file, the kind and the keys; a quoted bad value may run on
 MESSAGE_LIMIT = 500
 
 
@@ -66,10 +65,6 @@ def _parse_counts(spec: str) -> dict[EpidemicClass, int]:
 
 def _lang_arg(value: str) -> str | None:
     return None if value == "none" else value
-
-
-def _ruleset_arg(path: str | None):
-    return default_ruleset() if path is None else load_ruleset(path)
 
 
 def _write_docs_tsv(docs: list[NormalizedDocument], path: str) -> None:
@@ -119,7 +114,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_label(args: argparse.Namespace) -> int:
     check_distinct_paths((args.input,), (args.out, args.stats))
-    ruleset = _ruleset_arg(args.ruleset)
+    ruleset = load_ruleset(args.ruleset)
     docs = _read_docs_tsv(args.input)
     dataset, stats = label_documents(
         docs, ruleset, _parse_classes(args.classes), args.policy,
@@ -142,14 +137,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     from . import features
     from .pipeline import fit_features, split_dataset, train_model
 
-    train, _, _ = split_dataset(
+    train, _ = split_dataset(
         read_dataset_tsv(args.dataset), args.ratio, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     texts = [ex.text for ex in train]
     tfidf = fit_features(
-        texts, _ruleset_arg(args.ruleset) if args.mask_keywords else None,
-        out_dir)
+        texts, load_ruleset(args.ruleset) if args.mask_keywords else None,
+        args.ratio, args.seed, out_dir)
     checksum = features.idf_checksum(tfidf)
     X_train = features.transform(tfidf, texts)
     y_train = [ex.label for ex in train]
@@ -164,9 +159,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from . import features, models
     from .pipeline import evaluate, split_dataset
 
-    _, validation, class_order = split_dataset(
-        read_dataset_tsv(args.dataset), args.ratio, args.seed)
-    tfidf = features.load_tfidf(args.tfidf)
+    tfidf, split = features.load_tfidf(args.tfidf)
+    train, validation = split_dataset(
+        read_dataset_tsv(args.dataset), split["ratio"], split["seed"])
+    texts = [ex.text for ex in train]
+    if features.split_record(texts, split["ratio"], split["seed"]) != split:
+        raise DataError(f"dataset {args.dataset} is not the one {args.tfidf} was fit on")
     model, expected = models.load_model(args.model_file)
     actual = features.idf_checksum(tfidf)
     if expected != actual:
@@ -177,8 +175,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     X_val = features.transform(tfidf, (ex.text for ex in validation))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = evaluate(getattr(model, "kind", "tree"), model, X_val,
-                      [ex.label for ex in validation], class_order, out_dir)
+    report = evaluate(model, X_val, [ex.label for ex in validation], out_dir)
     print(f"{report.model_id}: weighted_f1={report.weighted_f1:.4f} "
           f"accuracy={report.accuracy:.4f}")
     return 0
@@ -270,13 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ruleset")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a trained model on the validation split")
+    p = sub.add_parser("eval", help="score a model on the split tfidf.json records")
     p.add_argument("--dataset", required=True)
     p.add_argument("--tfidf", required=True)
     p.add_argument("--model-file", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--ratio", type=float, default=0.75)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("report", help="render a stored report")
@@ -308,9 +303,10 @@ def main(argv: list[str] | None = None) -> int:
             return args.func(args)
     except PipelineError as exc:
         message = str(exc)
-        if len(message) > MESSAGE_LIMIT:
-            message = (f"{message[:MESSAGE_LIMIT]}... "
-                       f"[{len(message) - MESSAGE_LIMIT} characters cut]")
+        cut = next((i for i in range(len(message))
+                    if len(json.dumps(message[:i + 1])) - 2 > MESSAGE_LIMIT), None)
+        if cut is not None:
+            message = f"{message[:cut]}... [{len(message) - cut} characters cut]"
         record = {
             "stage": exc.stage,
             "error": type(exc).__name__,

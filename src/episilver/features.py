@@ -112,10 +112,16 @@ def idf_checksum(model: TfIdfModel) -> str:
     ).hexdigest()
 
 
-TFIDF_FORMAT_VERSION = 1
+def split_record(texts, ratio: float, master_seed: int) -> dict:
+    """tfidf.json's split record; the digest is of the texts joined by newlines."""
+    digest = hashlib.sha256("\n".join(texts).encode("utf-8")).hexdigest()
+    return {"ratio": ratio, "seed": master_seed, "train_sha256": digest}
 
 
-def _tfidf_json(model: TfIdfModel) -> dict:
+TFIDF_FORMAT_VERSION = 2
+
+
+def _tfidf_json(model: TfIdfModel, split: dict) -> dict:
     return {
         "format_version": TFIDF_FORMAT_VERSION,
         "config": _TOKENIZER,
@@ -125,23 +131,26 @@ def _tfidf_json(model: TfIdfModel) -> dict:
             for token, idx in model.vocabulary.items()
         },
         "idf_sha256": idf_checksum(model),
+        "split": split,
     }
 
 
-def save_tfidf(model: TfIdfModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(_tfidf_json(model), sort_keys=True),
+def save_tfidf(model: TfIdfModel, path: str | Path, split: dict) -> None:
+    """Persist a fitted model with the `split_record` of its training texts."""
+    Path(path).write_text(json.dumps(_tfidf_json(model, split), sort_keys=True),
                           encoding="utf-8")
 
 
-def load_tfidf(path: str | Path) -> TfIdfModel:
-    """Load a persisted model; idf is recomputed and checksum-verified.
-    Accepted only if saving the model again gives the file back
-    (`errors.read_document`); otherwise DataError names the file."""
+def load_tfidf(path: str | Path) -> tuple[TfIdfModel, dict]:
+    """Load a persisted model and its split record; idf is recomputed and
+    checksum-verified, the ratio must lie in (0, 1), and saving both again
+    must give the file back (`errors.read_document`), or DataError names it."""
     return read_document(Path(path).read_bytes(), str(path), "feature model file",
-                         TFIDF_FORMAT_VERSION, _tfidf_from_doc, _tfidf_json)
+                         TFIDF_FORMAT_VERSION, _tfidf_from_doc,
+                         lambda loaded: _tfidf_json(*loaded))
 
 
-def _tfidf_from_doc(doc: dict) -> TfIdfModel:
+def _tfidf_from_doc(doc: dict) -> tuple[TfIdfModel, dict]:
     vocabulary = {}
     doc_freq = np.zeros(len(doc["vocabulary"]), dtype=np.float64)
     for token, (idx, df) in doc["vocabulary"].items():
@@ -157,4 +166,8 @@ def _tfidf_from_doc(doc: dict) -> TfIdfModel:
                        doc_count=int(doc["doc_count"]))
     if idf_checksum(model) != doc["idf_sha256"]:
         raise ValueError("idf checksum mismatch")
-    return model
+    split = {"ratio": float(doc["split"]["ratio"]), "seed": int(doc["split"]["seed"]),
+             "train_sha256": str(doc["split"]["train_sha256"])}
+    if not 0.0 < split["ratio"] < 1.0:
+        raise ValueError(f"split ratio {split['ratio']} outside (0, 1)")
+    return model, split

@@ -214,7 +214,10 @@ def parse_ruleset_text(text: str, origin: str = "<string>") -> Ruleset:
     return compile_ruleset(rules)
 
 
-def load_ruleset(path: str | Path) -> Ruleset:
+def load_ruleset(path: str | Path | None) -> Ruleset:
+    """The ruleset of a rules file; the built-in set for None."""
+    if path is None:
+        return default_ruleset()
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:

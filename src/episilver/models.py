@@ -33,6 +33,7 @@ import random
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 from scipy import sparse
@@ -425,6 +426,7 @@ class TreeNode:
 
 @dataclass
 class TreeModel:
+    kind: ClassVar[str] = "tree"
     nodes: tuple[TreeNode, ...]
     class_order: tuple[EpidemicClass, ...]
     hyperparams: TreeHyperparams
@@ -643,10 +645,10 @@ def _model_json(model: LinearModel | TreeModel, tfidf_checksum: str) -> dict:
         "classes": [c.label for c in model.class_order],
         "dim": model.dim,
         "hyperparams": asdict(model.hyperparams),
+        "kind": model.kind,
         "tfidf_sha256": tfidf_checksum,
     }
     if isinstance(model, TreeModel):
-        doc["kind"] = "tree"
         doc["nodes"] = [
             {"leaf": n.leaf_class} if n.is_leaf else {
                 "feature": n.feature, "threshold": n.threshold,
@@ -655,7 +657,6 @@ def _model_json(model: LinearModel | TreeModel, tfidf_checksum: str) -> dict:
             for n in model.nodes
         ]
     else:
-        doc["kind"] = model.kind
         doc["n_iter"] = model.n_iter
         doc["cg_products"] = model.cg_products
         doc["loss_histories"] = [list(h) for h in model.loss_histories]

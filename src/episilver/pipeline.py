@@ -32,7 +32,6 @@ from .errors import DataError, stage
 from .labeling import (
     EpidemicClass,
     Ruleset,
-    default_ruleset,
     label_documents,
     load_ruleset,
     match_rules,
@@ -53,27 +52,27 @@ class RunResult:
 
 def split_dataset(examples, ratio: float, master_seed: int):
     """Split examples by class with the seed derived from the master seed;
-    returns the train examples, the validation examples and the class
-    order of the reports."""
+    returns the train examples and the validation examples. Every class
+    has a member in training, so a model's class order is the dataset's."""
     if not examples:
         raise DataError("empty dataset")
-    labels = [ex.label for ex in examples]
     split = models.stratified_split(
-        labels, ratio, derive_seed(master_seed, "split"))
+        [ex.label for ex in examples], ratio, derive_seed(master_seed, "split"))
     return ([examples[i] for i in split.train],
-            [examples[i] for i in split.validation],
-            tuple(sorted(set(labels))))
+            [examples[i] for i in split.validation])
 
 
-def fit_features(texts, mask: Ruleset | None, out_dir: Path) -> features.TfIdfModel:
-    """Fit TF-IDF on texts and write tfidf.json into out_dir; with a
-    ruleset, every token that one of its rules matches stays out of the
-    vocabulary (``--mask-keywords``)."""
+def fit_features(texts, mask: Ruleset | None, ratio: float, master_seed: int,
+                 out_dir: Path) -> features.TfIdfModel:
+    """Fit TF-IDF on the training texts and write tfidf.json, with their
+    split record, into out_dir; with a ruleset, every token that one of
+    its rules matches stays out of the vocabulary (``--mask-keywords``)."""
     exclude = None
     if mask is not None:
         exclude = lambda token: bool(match_rules(mask, token))  # noqa: E731
     tfidf = features.fit_tfidf(texts, exclude=exclude)
-    features.save_tfidf(tfidf, out_dir / "tfidf.json")
+    features.save_tfidf(tfidf, out_dir / "tfidf.json",
+                        features.split_record(texts, ratio, master_seed))
     return tfidf
 
 
@@ -94,17 +93,17 @@ def train_model(kind: str, X_train, y_train, master_seed: int,
     return model
 
 
-def evaluate(kind: str, model, X_val, y_val, class_order,
-             out_dir: Path) -> evaluation.EvalReport:
-    """Score the model on the validation rows and write report-<kind>.tsv,
-    report-<kind>.json and confusion-<kind>.csv into out_dir."""
+def evaluate(model, X_val, y_val, out_dir: Path) -> evaluation.EvalReport:
+    """Score the model on the validation rows over its class order and
+    write report-<kind>.tsv, report-<kind>.json and confusion-<kind>.csv
+    into out_dir, the kind being the model's."""
     report = evaluation.build_report(
-        kind, y_val, models.predict(model, X_val), class_order)
-    (out_dir / f"report-{kind}.tsv").write_bytes(
+        model.kind, y_val, models.predict(model, X_val), model.class_order)
+    (out_dir / f"report-{model.kind}.tsv").write_bytes(
         evaluation.render_report(report, "tsv"))
-    (out_dir / f"report-{kind}.json").write_bytes(
+    (out_dir / f"report-{model.kind}.json").write_bytes(
         evaluation.render_report(report, "json"))
-    (out_dir / f"confusion-{kind}.csv").write_bytes(
+    (out_dir / f"confusion-{model.kind}.csv").write_bytes(
         evaluation.render_confusion_csv(report))
     return report
 
@@ -132,10 +131,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     timings = manifest["timings"]
 
     with stage("config"):
-        if config.ruleset_path is None:
-            ruleset: Ruleset = default_ruleset()
-        else:
-            ruleset = load_ruleset(config.ruleset_path)
+        ruleset = load_ruleset(config.ruleset_path)
 
     t0 = time.perf_counter()
     with stage("ingest"):
@@ -166,7 +162,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     timings["balance"] = time.perf_counter() - t0
 
     with stage("split"):
-        train, validation, class_order = split_dataset(
+        train, validation = split_dataset(
             dataset.examples, config.ratio, config.master_seed)
         manifest["stages"]["split"] = {
             "train": len(train),
@@ -178,7 +174,8 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     with stage("features"):
         train_texts = [ex.text for ex in train]
         tfidf = fit_features(
-            train_texts, ruleset if config.mask_keywords else None, out_dir)
+            train_texts, ruleset if config.mask_keywords else None,
+            config.ratio, config.master_seed, out_dir)
         checksum = features.idf_checksum(tfidf)
         X_train = features.transform(tfidf, train_texts)
         X_val = features.transform(tfidf, (ex.text for ex in validation))
@@ -212,7 +209,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
 
         t0 = time.perf_counter()
         with stage("evaluate"):
-            report = evaluate(kind, model, X_val, y_val, class_order, out_dir)
+            report = evaluate(model, X_val, y_val, out_dir)
             result.reports[kind] = report
             manifest["artifacts"][f"report-{kind}"] = f"report-{kind}.json"
             manifest["stages"]["eval"][kind] = {

@@ -169,12 +169,16 @@ class TestTransformRows:
             assert np.array_equal(batch[r], transform(model, [text]).toarray()[0])
 
 
+SPLIT = {"ratio": 0.75, "seed": 0, "train_sha256": "0" * 64}
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         model = fit_tfidf(["flu cold flu", "tea cold"])
         path = tmp_path / "tfidf.json"
-        save_tfidf(model, path)
-        loaded = load_tfidf(path)
+        save_tfidf(model, path, SPLIT)
+        loaded, split = load_tfidf(path)
+        assert split == SPLIT
         assert loaded.vocabulary == model.vocabulary
         assert np.allclose(loaded.idf, model.idf)
         assert loaded.doc_count == model.doc_count
@@ -185,7 +189,7 @@ class TestPersistence:
     def test_tampered_file_fails_checksum(self, tmp_path):
         model = fit_tfidf(["flu cold", "tea"])
         path = tmp_path / "tfidf.json"
-        save_tfidf(model, path)
+        save_tfidf(model, path, SPLIT)
         text = path.read_text(encoding="utf-8")
         path.write_text(text.replace('"doc_count": 2', '"doc_count": 9'),
                         encoding="utf-8")

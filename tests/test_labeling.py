@@ -138,7 +138,11 @@ def _unfiltered(ruleset, text):
 
 
 # Patterns from a small grammar: literals, boundaries, classes, plain and
-# case-scoped groups, alternations and repeats with minimum 0 and 1.
+# case-scoped groups, alternations and repeats with minimum 0 and 1. An
+# unbounded repeat of a body that itself repeats or alternates, such as
+# (?:(?:.)+)+#, backtracks exponentially in re (seconds on 24 characters,
+# twice that for every 2 more), so such a body gets only a bounded repeat;
+# TestPrefilter.test_nested_repeat_keys covers their keys.
 _ATOMS = st.one_of(
     st.sampled_from(["a", "s", "k", "i", "hiv", "sars", "kill", "#", "ß", "İ"])
     .map(re.escape),
@@ -146,12 +150,21 @@ _ATOMS = st.one_of(
 )
 
 
+_NESTS = re.compile(r"[*+|}]|\)\?")  # a repeat or an alternation in a body
+
+
+def _repeat(body):
+    quantifiers = ["?", "{0,2}", "{1,2}"]
+    if not _NESTS.search(body):
+        quantifiers += ["*", "+"]
+    return st.sampled_from(quantifiers).map(lambda q: f"(?:{body}){q}")
+
+
 def _compound(inner):
     seq = st.lists(inner, min_size=1, max_size=3).map("".join)
     return st.one_of(
         st.tuples(seq, seq).map("(?:{0[0]}|{0[1]})".format),
-        st.tuples(seq, st.sampled_from(["?", "*", "{0,2}", "+", "{1,2}"]))
-        .map("(?:{0[0]}){0[1]}".format),
+        seq.flatmap(_repeat),
         seq.map("(?i:{})".format),
         seq.map("(?-i:{})".format),
     )
@@ -185,6 +198,20 @@ class TestPrefilter:
         assert rs.keys == ((0, "", False),)
         assert match_rules(rs, "flu season of 2009") == rs.rules
         assert match_rules(rs, "flu season") == ()
+
+    @pytest.mark.parametrize("pattern,keys", [
+        (r"(?:(?:hiv)+){1,2}", ("hiv",)),
+        (r"(?:(?:hiv)+)+", ("hiv",)),
+        (r"(?:(?:hiv|sars)+){1,2}", ("hiv", "sars")),
+        (r"(?:(?:\s+hiv)+)+", ("hiv",)),
+        (r"(?:(?:ka)?){1,2}kill", ("kill",)),
+        (r"(?:(?:hiv)*)+", ("",)),
+    ])
+    def test_nested_repeat_keys(self, pattern, keys):
+        rs = compile_ruleset([LabelRule(EC.FLU, pattern, False, 0)])
+        assert tuple(key for _, key, _ in rs.keys) == keys
+        for text in ("hiv", "HIVhiv sars", "kakill", "no key", ""):
+            assert match_rules(rs, text) == _unfiltered(rs, text), text
 
     @pytest.mark.parametrize("pattern,text", [
         (r"\bhiv\b", "hİv"),

@@ -155,11 +155,51 @@ class TestOneTrainingPath:
             assert main(["eval", "--dataset", str(default_run / "dataset.tsv"),
                          "--tfidf", str(default_run / "tfidf.json"),
                          "--model-file", str(default_run / f"model-{kind}.json"),
-                         "--out", str(tmp_path), "--seed", "99"]) == 0
+                         "--out", str(tmp_path)]) == 0
             for name in [f"report-{kind}.tsv", f"report-{kind}.json",
                          f"confusion-{kind}.csv"]:
                 assert (tmp_path / name).read_bytes() == \
                     (default_run / name).read_bytes(), name
+
+    def test_eval_splits_as_tfidf_json_records(self, small_corpus, tmp_path):
+        """`eval` takes no split flags: after `train --seed 7 --ratio 0.6`
+        it scores the rows that `run` with those flags holds out."""
+        ran, staged = tmp_path / "run", tmp_path / "staged"
+        assert main(["run", "--input", small_corpus, "--out", str(ran),
+                     "--seed", "7", "--ratio", "0.6", "--threads", "1"]) == 0
+        dataset = str(ran / "dataset.tsv")
+        assert main(["train", "--dataset", dataset, "--out", str(staged),
+                     "--seed", "7", "--ratio", "0.6"]) == 0
+        for kind in ("logistic", "svm", "tree"):
+            assert main(["eval", "--dataset", dataset,
+                         "--tfidf", str(staged / "tfidf.json"),
+                         "--model-file", str(staged / f"model-{kind}.json"),
+                         "--out", str(staged)]) == 0
+            for name in ["tfidf.json", f"model-{kind}.json", f"report-{kind}.tsv",
+                         f"report-{kind}.json", f"confusion-{kind}.csv"]:
+                assert (staged / name).read_bytes() == (ran / name).read_bytes(), name
+
+    def test_eval_refuses_a_dataset_that_train_did_not_split(
+            self, default_run, small_docs, tmp_path, capsys):
+        """A dataset labelled with another seed has the size of the one
+        `train` split, but not its training rows."""
+        dataset = tmp_path / "dataset.tsv"
+        assert main(["label", "--input", str(small_docs), "--out", str(dataset),
+                     "--seed", "5", "--stats", str(tmp_path / "label.json")]) == 0
+        ours = (default_run / "dataset.tsv").read_text(encoding="utf-8")
+        theirs = dataset.read_text(encoding="utf-8")
+        assert len(theirs.splitlines()) == len(ours.splitlines())
+        assert theirs != ours
+        capsys.readouterr()
+        tfidf = default_run / "tfidf.json"
+        assert main(["eval", "--dataset", str(dataset), "--tfidf", str(tfidf),
+                     "--model-file", str(default_run / "model-tree.json"),
+                     "--out", str(tmp_path / "out")]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "DataError"
+        assert str(dataset) in record["message"] and str(tfidf) in record["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_manifest_records_convergence(self, default_run):
         manifest = json.loads((default_run / "manifest.json").read_text())
@@ -336,7 +376,7 @@ class TestCli:
         assert main(["eval", "--dataset", str(dataset),
                      "--tfidf", str(out / "tfidf.json"),
                      "--model-file", str(out / "model-logistic.json"),
-                     "--out", str(out), "--seed", "99"]) == 0
+                     "--out", str(out)]) == 0
         assert (out / "report-logistic.json").exists()
         assert main(["report", "--report", str(out / "report-logistic.json"),
                      "--format", "tsv"]) == 0
@@ -421,15 +461,12 @@ class TestCli:
         (line,) = capsys.readouterr().err.splitlines()
         assert names.format(path=rules) in json.loads(line)["message"]
 
-    @pytest.mark.parametrize("command", ["run", "train", "eval"])
+    @pytest.mark.parametrize("command", ["run", "train"])
     def test_bad_ratio_exits_2(self, small_corpus, default_run, tmp_path,
                                capsys, command):
         argv = {
             "run": ["run", "--input", small_corpus],
             "train": ["train", "--dataset", str(default_run / "dataset.tsv")],
-            "eval": ["eval", "--dataset", str(default_run / "dataset.tsv"),
-                     "--tfidf", str(default_run / "tfidf.json"),
-                     "--model-file", str(default_run / "model-tree.json")],
         }[command]
         code = main([*argv, "--out", str(tmp_path / "o"), "--ratio", "2.0"])
         assert code == 2
@@ -583,6 +620,14 @@ def _long_first_class(doc):
     doc["classes"][0] = LONG_VALUE
 
 
+def _first_class_of(char):
+    """A first class label of 100,000 characters that JSON escapes to 6
+    (é) or 12 (U+1F637, a surrogate pair) bytes each."""
+    def edit(doc):
+        doc["classes"][0] = char * 100_000
+    return edit
+
+
 def _dataset_with_long_label(run):
     header, first, *rest = (run / "dataset.tsv").read_text().splitlines(True)
     tweet_id, _, text = first.split("\t")
@@ -598,6 +643,10 @@ def _dataset_with_long_label(run):
         id="model-long-grad-norm"),
     pytest.param("model", lambda run: _model_with(run, _long_first_class),
                  id="model-long-class"),
+    pytest.param("model", lambda run: _model_with(run, _first_class_of("é")),
+                 id="model-long-class-e-acute"),
+    pytest.param("model", lambda run: _model_with(
+        run, _first_class_of("\U0001F637")), id="model-long-class-astral"),
     pytest.param("dataset", _dataset_with_long_label, id="dataset-long-label"),
 ])
 def test_loader_error_is_short_and_names_the_file(
@@ -696,7 +745,8 @@ def test_saving_a_loaded_file_gives_its_bytes(default_run, tmp_path, name):
     """Every file the program writes loads: re-saving gives it back."""
     path, copy = default_run / name, tmp_path / name
     if name == "tfidf.json":
-        features.save_tfidf(features.load_tfidf(path), copy)
+        tfidf, split = features.load_tfidf(path)
+        features.save_tfidf(tfidf, copy, split)
     else:
         model, checksum = models.load_model(path)
         models.save_model(model, copy, checksum)
@@ -767,8 +817,7 @@ def test_model_file_without_its_convergence_record_is_rejected(
     path.write_text(json.dumps(doc))
     assert main(["eval", "--dataset", str(default_run / "dataset.tsv"),
                  "--tfidf", str(default_run / "tfidf.json"),
-                 "--model-file", str(path), "--out", str(tmp_path / "out"),
-                 "--seed", "99"]) == 3
+                 "--model-file", str(path), "--out", str(tmp_path / "out")]) == 3
     (line,) = capsys.readouterr().err.splitlines()
     record = json.loads(line)
     assert record["error"] == "DataError" and str(path) in record["message"]
@@ -795,9 +844,36 @@ def test_model_file_of_the_previous_format_is_rejected(default_run, tmp_path, ca
     old.write_text(json.dumps(doc))
     assert main(["eval", "--dataset", str(default_run / "dataset.tsv"),
                  "--tfidf", str(default_run / "tfidf.json"),
-                 "--model-file", str(old), "--out", str(tmp_path), "--seed", "99"]) == 3
+                 "--model-file", str(old), "--out", str(tmp_path)]) == 3
     (line,) = capsys.readouterr().err.splitlines()
     assert "unsupported format version" in json.loads(line)["message"]
+
+
+def _format_1(doc):
+    """The feature file as the previous format wrote it: no split record."""
+    doc["format_version"] = 1
+    doc.pop("split", None)
+
+
+@pytest.mark.parametrize("damage, names", [
+    (_format_1, "unsupported format version"),
+    (lambda doc: doc["split"].update(ratio="0.75"), "split not as saving it"),
+    (lambda doc: doc["split"].update(ratio=1.5), "split ratio 1.5 outside (0, 1)"),
+], ids=["format-1", "string-ratio", "ratio-above-1"])
+def test_feature_file_without_a_valid_split_is_rejected(
+        default_run, tmp_path, capsys, damage, names):
+    doc = json.loads((default_run / "tfidf.json").read_text())
+    damage(doc)
+    path = tmp_path / "tfidf.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", "--dataset", str(default_run / "dataset.tsv"),
+                 "--tfidf", str(path),
+                 "--model-file", str(default_run / "model-logistic.json"),
+                 "--out", str(tmp_path / "out")]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "DataError"
+    assert str(path) in record["message"] and names in record["message"]
 
 
 FRONT_HALF = """
