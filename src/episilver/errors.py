@@ -8,6 +8,7 @@ emit a machine-readable error record.
 
 import copyreg
 import json
+import math
 import zlib
 from collections.abc import Callable
 from contextlib import contextmanager
@@ -116,17 +117,26 @@ def stage(name: str):
         raise DataError(str(exc), stage=name) from exc
 
 
+def _finite(text: str) -> float:
+    """A JSON number or constant (NaN, Infinity) as a float, if finite."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def read_document(data: bytes | str, origin: str, what: str, version: int,
                   build: Callable[[dict], Any], dump: Callable[[Any], dict],
                   basis: str = "saving it again") -> Any:
     """Load a JSON file the program wrote: `build` makes the object, giving
     each value its declared type, and the file is accepted only if `dump`,
     the saver's document for it, gives it back, top-level key by key.
-    Invalid UTF-8 or JSON, another format version, a key that differs or
-    that one side lacks, a missing key and a value of the wrong type, shape
-    or range raise one DataError naming `origin`, `what` and the keys."""
+    Invalid UTF-8 or JSON, a non-finite number (NaN, Infinity, 1e400) or
+    one too large for its type, another format version, a key that differs
+    or that one side lacks, a missing key and a value of the wrong type,
+    shape or range raise one DataError naming `origin`, `what` and the keys."""
     try:
-        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data,
+                         parse_float=_finite, parse_constant=_finite)
         if doc.get("format_version") != version:
             raise ValueError("unsupported format version")
         loaded = build(doc)
@@ -139,7 +149,7 @@ def read_document(data: bytes | str, origin: str, what: str, version: int,
         if differ:
             raise ValueError(f"{', '.join(differ)} not as {basis} gives")
     except (KeyError, TypeError, ValueError, IndexError, AttributeError,
-            RecursionError, ConfigError) as exc:
+            OverflowError, RecursionError, ConfigError) as exc:
         raise DataError(
             f"{origin}: malformed {what}: {type(exc).__name__}: {exc}") from exc
     return loaded

@@ -12,7 +12,7 @@ import hashlib
 import json
 import re
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -70,9 +70,14 @@ def fit_tfidf(
         df = Counter({t: c for t, c in df.items() if not exclude(t)})
     if not df:
         raise FitError("no usable tokens in the fitted documents")
+    return _tfidf_model(df, n_docs)
+
+
+def _tfidf_model(df: Mapping[str, int], doc_count: int) -> TfIdfModel:
+    """The model of token -> df; a token's column is its rank in sorted order."""
     vocabulary = {token: i for i, token in enumerate(sorted(df))}
-    doc_freq = np.array([df[token] for token in vocabulary], dtype=np.float64)
-    return TfIdfModel(vocabulary=vocabulary, doc_freq=doc_freq, doc_count=n_docs)
+    doc_freq = np.fromiter((df[token] for token in vocabulary), np.float64)
+    return TfIdfModel(vocabulary=vocabulary, doc_freq=doc_freq, doc_count=doc_count)
 
 
 def transform(model: TfIdfModel, texts: Iterable[str]) -> sparse.csr_matrix:
@@ -118,7 +123,7 @@ def split_record(texts, ratio: float, master_seed: int) -> dict:
     return {"ratio": ratio, "seed": master_seed, "train_sha256": digest}
 
 
-TFIDF_FORMAT_VERSION = 2
+TFIDF_FORMAT_VERSION = 3
 
 
 def _tfidf_json(model: TfIdfModel, split: dict) -> dict:
@@ -126,44 +131,34 @@ def _tfidf_json(model: TfIdfModel, split: dict) -> dict:
         "format_version": TFIDF_FORMAT_VERSION,
         "config": _TOKENIZER,
         "doc_count": model.doc_count,
-        "vocabulary": {
-            token: [idx, int(model.doc_freq[idx])]
-            for token, idx in model.vocabulary.items()
-        },
+        "vocabulary": dict(zip(model.vocabulary, map(int, model.doc_freq))),
         "idf_sha256": idf_checksum(model),
         "split": split,
     }
 
 
 def save_tfidf(model: TfIdfModel, path: str | Path, split: dict) -> None:
-    """Persist a fitted model with the `split_record` of its training texts."""
+    """Persist a fitted model, token -> df, with its texts' `split_record`."""
     Path(path).write_text(json.dumps(_tfidf_json(model, split), sort_keys=True),
                           encoding="utf-8")
 
 
 def load_tfidf(path: str | Path) -> tuple[TfIdfModel, dict]:
-    """Load a persisted model and its split record; idf is recomputed and
-    checksum-verified, the ratio must lie in (0, 1), and saving both again
-    must give the file back (`errors.read_document`), or DataError names it."""
+    """Load a persisted model and its split record; a token's column is its
+    sorted rank, idf is recomputed and checksum-verified, the ratio must lie
+    in (0, 1), and saving both again must give the file back
+    (`errors.read_document`), or DataError names it."""
     return read_document(Path(path).read_bytes(), str(path), "feature model file",
                          TFIDF_FORMAT_VERSION, _tfidf_from_doc,
                          lambda loaded: _tfidf_json(*loaded))
 
 
 def _tfidf_from_doc(doc: dict) -> tuple[TfIdfModel, dict]:
-    vocabulary = {}
-    doc_freq = np.zeros(len(doc["vocabulary"]), dtype=np.float64)
-    for token, (idx, df) in doc["vocabulary"].items():
-        vocabulary[token] = int(idx)
-        doc_freq[vocabulary[token]] = df
-    if sorted(vocabulary.values()) != list(range(len(vocabulary))):
-        raise ValueError("vocabulary indices are not 0..n-1")
     if (json.dumps(doc["config"], sort_keys=True)
             != json.dumps(_TOKENIZER, sort_keys=True)):
         raise ValueError(f"tokenizer config {doc['config']!r} is not "
                          f"{_TOKENIZER!r}, so the file was tokenized differently")
-    model = TfIdfModel(vocabulary=vocabulary, doc_freq=doc_freq,
-                       doc_count=int(doc["doc_count"]))
+    model = _tfidf_model(doc["vocabulary"], int(doc["doc_count"]))
     if idf_checksum(model) != doc["idf_sha256"]:
         raise ValueError("idf checksum mismatch")
     split = {"ratio": float(doc["split"]["ratio"]), "seed": int(doc["split"]["seed"]),

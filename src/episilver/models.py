@@ -411,7 +411,9 @@ class TreeHyperparams:
 
 @dataclass(frozen=True, slots=True)
 class TreeNode:
-    """Internal node when leaf_class < 0, else a leaf."""
+    """Internal node when leaf_class < 0, else a leaf. In a trained tree an
+    internal node's left child is the next node in preorder, so model files
+    store no `left` and the loader sets it to the node's id + 1."""
 
     feature: int = -1
     threshold: float = 0.0
@@ -636,7 +638,7 @@ def _predict_tree(model: TreeModel, X: sparse.csr_matrix) -> list[EpidemicClass]
     return [model.class_order[c] for c in leaf.tolist()]
 
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 def _model_json(model: LinearModel | TreeModel, tfidf_checksum: str) -> dict:
@@ -651,9 +653,7 @@ def _model_json(model: LinearModel | TreeModel, tfidf_checksum: str) -> dict:
     if isinstance(model, TreeModel):
         doc["nodes"] = [
             {"leaf": n.leaf_class} if n.is_leaf else {
-                "feature": n.feature, "threshold": n.threshold,
-                "left": n.left, "right": n.right,
-            }
+                "feature": n.feature, "threshold": n.threshold, "right": n.right}
             for n in model.nodes
         ]
     else:
@@ -663,12 +663,7 @@ def _model_json(model: LinearModel | TreeModel, tfidf_checksum: str) -> dict:
         doc["converged"] = model.converged
         doc["final_grad_norm"] = model.final_grad_norm
         doc["bias"] = model.bias.tolist()
-        rows = []
-        for c in range(len(model.class_order)):
-            col = model.weights[:, c]
-            nz = np.nonzero(col)[0]
-            rows.append({"indices": nz.tolist(), "values": col[nz].tolist()})
-        doc["weights"] = rows
+        doc["weights"] = model.weights.T.tolist()  # one row of dim per class
     return doc
 
 
@@ -681,9 +676,9 @@ def save_model(
 
 
 def load_model(path: str | Path) -> tuple[LinearModel | TreeModel, str]:
-    """Load a persisted model; returns (model, expected tfidf checksum).
-    Accepted only if saving the model again gives the file back
-    (`errors.read_document`); otherwise DataError names the file."""
+    """Load a persisted model; returns (model, expected tfidf checksum), or
+    DataError naming the file unless saving it again gives the file back
+    (`errors.read_document`). A tree node's left child is the next node."""
     return read_document(Path(path).read_bytes(), str(path), "model file",
                          MODEL_FORMAT_VERSION, _model_from_doc,
                          lambda loaded: _model_json(*loaded))
@@ -698,17 +693,16 @@ def _model_from_doc(doc: dict) -> tuple[LinearModel | TreeModel, str]:
         nodes = tuple(
             TreeNode(leaf_class=int(n["leaf"])) if "leaf" in n else TreeNode(
                 feature=int(n["feature"]), threshold=float(n["threshold"]),
-                left=int(n["left"]), right=int(n["right"]),
+                left=i + 1, right=int(n["right"]),
             )
-            for n in doc["nodes"]
+            for i, n in enumerate(doc["nodes"])
         )
         if not nodes:
             raise ValueError("tree has no nodes")
         # preorder ids: children follow their parent, so routing ends
         for i, n in enumerate(nodes):
             ok = (n.leaf_class < len(class_order) if n.is_leaf
-                  else 0 <= n.feature < dim
-                  and i < n.left < len(nodes) and i < n.right < len(nodes))
+                  else 0 <= n.feature < dim and i + 1 < n.right < len(nodes))
             if not ok:
                 raise ValueError(f"node {i} links outside the tree or the features")
         hp = TreeHyperparams(max_depth=int(params["max_depth"]), seed=int(params["seed"]))
@@ -722,9 +716,9 @@ def _model_from_doc(doc: dict) -> tuple[LinearModel | TreeModel, str]:
     bias = np.array(doc["bias"], dtype=np.float64)
     if bias.shape != (len(class_order),):
         raise ValueError("bias needs one entry per class")
-    weights = np.zeros((dim, len(class_order)))
-    for c, row in enumerate(doc["weights"]):
-        weights[np.array(row["indices"], dtype=np.intp), c] = row["values"]
+    weights = np.array(doc["weights"], dtype=np.float64).T
+    if weights.shape != (dim, len(class_order)):
+        raise ValueError(f"weights need one row of {dim} per class")
     return LinearModel(
         kind=doc["kind"], weights=weights, bias=bias,
         class_order=class_order, hyperparams=hp, dim=dim,

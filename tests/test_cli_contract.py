@@ -13,6 +13,7 @@ import contextlib
 import gzip
 import io
 import json
+import random
 import tempfile
 import warnings
 from pathlib import Path
@@ -121,3 +122,105 @@ def test_damaged_input_keeps_exit_code_contract(valid, target, mode, blob, cut):
     if code != 0:
         record = json.loads(lines[0])
         assert set(record) == {"stage", "error", "message"}
+
+
+# A seeded, structure-aware companion to the fuzz test above: each mutant
+# changes one value, key or list entry of a JSON artifact, or one line or
+# field of a TSV artifact, so it gets past the parser to the loaders.
+MUTATED = {
+    **{t: TARGETS[t] for t in ("label", "train", "eval-dataset", "eval-tfidf",
+                               "eval-model", "report")},
+    **{f"eval-model-{kind}": (f"model-{kind}.json", TARGETS["eval-model"][1])
+       for kind in ("svm", "tree")},
+}
+MUTANTS = 80
+# json.dumps cannot write 1e400, a literal that json.loads reads as inf;
+# this string is replaced by it in the dumped text
+OVERFLOW = "<1e400>"
+HOSTILE = [None, True, False, 0, -1, 1, 2**31, 2**63, 2**64, 10**400, -0.0,
+           0.5, 1e308, 5e-324, float("nan"), float("inf"), float("-inf"),
+           OVERFLOW, "", "x", "cholera", "0.5", "x" * 2000, [], {}, [0],
+           {"x": 0}, [[1, 2], [3]]]
+HOSTILE_FIELDS = ["", "x", "plague", "cholera", "non_epidemic", "1e400", "-1",
+                  "a\tb", "é" * 2000, "\U0001F637"]
+
+
+def _mutate_json(data: bytes, rng) -> tuple[bytes, str]:
+    doc = json.loads(data)
+    parent, key, path = None, None, []
+    value = doc
+    # a random descent, so that each key is as likely as the long arrays
+    while isinstance(value, (dict, list)) and value and (
+            parent is None or rng.random() < 0.7):
+        parent = value
+        key = rng.choice(sorted(value)) if isinstance(value, dict) \
+            else rng.randrange(len(value))
+        path.append(key)
+        value = parent[key]
+    op = rng.choice(["replace", "replace", "replace", "drop", "repeat"])
+    if op == "drop":
+        del parent[key]
+    elif op == "repeat" and isinstance(parent, list):
+        parent.insert(key, parent[key])
+    else:
+        op = "replace"
+        parent[key] = rng.choice(HOSTILE)
+    text = json.dumps(doc).replace(f'"{OVERFLOW}"', "1e400")
+    return text.encode(), f"{op} {path}"
+
+
+def _mutate_tsv(data: bytes, rng) -> tuple[bytes, str]:
+    lines = data.decode("utf-8").split("\n")
+    i = rng.randrange(len(lines))
+    op = rng.choice(["field", "field", "drop", "repeat", "swap", "tab", "untab",
+                     "crlf", "invalid"])
+    if op == "field":
+        fields = lines[i].split("\t")
+        fields[rng.randrange(len(fields))] = rng.choice(HOSTILE_FIELDS)
+        lines[i] = "\t".join(fields)
+    elif op == "drop":
+        del lines[i]
+    elif op == "repeat":
+        lines.insert(i, lines[i])
+    elif op == "swap":
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op == "tab":
+        lines[i] += "\t"
+    elif op == "untab":
+        lines[i] = lines[i].replace("\t", " ", 1)
+    elif op == "crlf":
+        lines[i] += "\r"
+    text = "\n".join(lines).encode("utf-8")
+    if op == "invalid":
+        text = text.replace(b"\n", b"\n\xff", 1)
+    return text, f"{op} line {i}"
+
+
+@pytest.mark.parametrize("target", sorted(MUTATED))
+def test_mutated_artifact_keeps_exit_code_contract(valid, target):
+    """Every mutant exits 0, 2, 3 or 4 and prints at most one stderr line,
+    a JSON error record under 1 KB when the exit code is nonzero."""
+    name, template = MUTATED[target]
+    mutate = _mutate_json if name.endswith(".json") else _mutate_tsv
+    rng = random.Random(f"mutation-{target}")
+    broken = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(MUTANTS):
+            data, what = mutate((valid / name).read_bytes(), rng)
+            bad = Path(tmp) / name
+            bad.write_bytes(data)
+            argv = [a.format(bad=bad, ok=valid, tmp=tmp) for a in template]
+            try:
+                code, err, n_warnings = run_cli(argv)
+            except Exception as exc:  # a traceback on the command line
+                broken.append((what, repr(exc)))
+                continue
+            lines = err.splitlines()
+            ok = code in (0, 2, 3, 4) and len(lines) + n_warnings <= 1
+            if ok and code:
+                ok = len(lines) == 1 and len(lines[0].encode("utf-8")) < 1024 \
+                    and set(json.loads(lines[0])) == {"stage", "error", "message"}
+            if not ok:
+                broken.append((what, code, err[:300], n_warnings))
+    assert not broken, broken

@@ -243,8 +243,8 @@ def test_eval_rejects_a_tfidf_file_tokenized_differently(
 
 
 def _float_doc_freq(doc):
-    entry = doc["vocabulary"][min(doc["vocabulary"])]
-    entry[1] = float(entry[1])
+    token = min(doc["vocabulary"])
+    doc["vocabulary"][token] = float(doc["vocabulary"][token])
 
 
 @pytest.mark.parametrize("damage, key", [

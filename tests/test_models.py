@@ -508,13 +508,13 @@ class TestPersistence:
         lambda doc: {**doc, "dim": "many"},
         lambda doc: {**doc, "tfidf_sha256": 7},
         lambda doc: {**doc, "bias": doc["bias"][:-1]},
-        lambda doc: {**doc, "weights": [{"indices": ["x"], "values": [1.0]}] * 3},
+        lambda doc: {**doc, "weights": [row[:-1] for row in doc["weights"]]},
         lambda doc: {**doc, "classes": ["plague", "mers", "ebola"]},
         lambda doc: {**doc, "dim": float(doc["dim"])},
         lambda doc: {**doc, "dim": str(doc["dim"])},
         lambda doc: "[" * 100_000,
     ], ids=["invalid-json", "no-classes", "not-an-object", "dim-not-int",
-            "checksum-not-str", "short-bias", "bad-indices", "unknown-class",
+            "checksum-not-str", "short-bias", "short-weights", "unknown-class",
             "float-dim", "string-dim", "nested-too-deep"])
     def test_malformed_linear_file_is_data_error(self, tmp_path, edit):
         rng = random.Random(19)
@@ -533,7 +533,7 @@ class TestPersistence:
         path = tmp_path / "tree.json"
         save_model(train_decision_tree(X, y), path, "0" * 64)
         doc = json.loads(path.read_text())
-        doc["nodes"][0]["left"] = 0  # routing would never reach a leaf
+        doc["nodes"][0]["right"] = 0  # routing would never reach a leaf
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError):
             load_model(path)

@@ -1,6 +1,7 @@
 import dataclasses
 import gzip
 import json
+import math
 import os
 import random
 import subprocess
@@ -628,6 +629,14 @@ def _first_class_of(char):
     return edit
 
 
+def _overflowing_weight(run):
+    """A weight written 1e400, which parses as inf; json.dumps cannot write
+    it, so it goes in as text."""
+    def edit(doc):
+        doc["weights"][0][0] = "1e400"
+    return _model_with(run, edit).replace(b'"1e400"', b"1e400")
+
+
 def _dataset_with_long_label(run):
     header, first, *rest = (run / "dataset.tsv").read_text().splitlines(True)
     tweet_id, _, text = first.split("\t")
@@ -647,6 +656,7 @@ def _dataset_with_long_label(run):
                  id="model-long-class-e-acute"),
     pytest.param("model", lambda run: _model_with(
         run, _first_class_of("\U0001F637")), id="model-long-class-astral"),
+    pytest.param("model", _overflowing_weight, id="model-1e400-weight"),
     pytest.param("dataset", _dataset_with_long_label, id="dataset-long-label"),
 ])
 def test_loader_error_is_short_and_names_the_file(
@@ -701,6 +711,7 @@ REPORT_DAMAGE = {
     "nudged-f1": lambda doc: doc["per_class"][0].update(
         f1=doc["per_class"][0]["f1"] + 1e-12),
     "dict-model-id": lambda doc: doc.update(model_id={"x": [1]}),
+    "huge-count": lambda doc: doc["confusion"][0].__setitem__(0, 2**64),
 }
 
 
@@ -761,7 +772,7 @@ def _as_tree(doc):
                 "loss_histories", "bias", "weights"):
         del doc[key]
     doc.update(kind="tree", hyperparams={"max_depth": 150, "seed": 0}, nodes=[
-        {"feature": 0, "threshold": 0.5, "left": 1, "right": 2},
+        {"feature": 0, "threshold": 0.5, "right": 2},
         {"leaf": 0}, {"leaf": 1}])
     return doc
 
@@ -775,7 +786,7 @@ def _string_loss(doc):
 
 
 def _string_weight(doc):
-    doc["weights"][0]["values"][0] = str(doc["weights"][0]["values"][0])
+    doc["weights"][0][0] = str(doc["weights"][0][0])
 
 
 MODEL_DAMAGE = {
@@ -805,6 +816,15 @@ MODEL_DAMAGE = {
     "n_iter-plus-one": lambda doc: doc.update(n_iter=doc["n_iter"] + 1),
     "converged-flipped": lambda doc: doc.update(converged=not doc["converged"]),
     "norm-above-tol": lambda doc: doc.update(final_grad_norm=1.0),
+    # numbers that no float or int of the model holds
+    "nan-weight": lambda doc: doc["weights"][0].__setitem__(0, math.nan),
+    "huge-weight": lambda doc: doc["weights"][0].__setitem__(0, 10**400),
+    "infinite-bias": lambda doc: doc["bias"].__setitem__(0, math.inf),
+    "infinite-max-iter": lambda doc: doc["hyperparams"].update(max_iter=math.inf),
+    "tree-infinite-feature": lambda doc: _as_tree(doc)["nodes"][0].update(
+        feature=math.inf),
+    "tree-infinite-right": lambda doc: _as_tree(doc)["nodes"][0].update(
+        right=math.inf),
 }
 
 
@@ -849,17 +869,72 @@ def test_model_file_of_the_previous_format_is_rejected(default_run, tmp_path, ca
     assert "unsupported format version" in json.loads(line)["message"]
 
 
+def test_the_tree_of_the_damage_cases_scores(default_run, tmp_path):
+    """`_as_tree` gives a file that `eval` accepts, so each `tree-*` case
+    above holds one fault."""
+    doc = _as_tree(json.loads((default_run / "model-logistic.json").read_text()))
+    path = tmp_path / "model-tree.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", "--dataset", str(default_run / "dataset.tsv"),
+                 "--tfidf", str(default_run / "tfidf.json"),
+                 "--model-file", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def _format_2_model(doc):
+    """The linear model file as format 2 wrote it: each weight row lists the
+    indices of its nonzero values."""
+    doc["format_version"] = 2
+    doc["weights"] = [{"indices": [i for i, v in enumerate(row) if v],
+                       "values": [v for v in row if v]} for row in doc["weights"]]
+
+
+def _format_2_tfidf(doc):
+    """The feature file as format 2 wrote it: each token's column beside its
+    document frequency."""
+    doc["format_version"] = 2
+    doc["vocabulary"] = {token: [i, doc["vocabulary"][token]]
+                         for i, token in enumerate(sorted(doc["vocabulary"]))}
+
+
+@pytest.mark.parametrize("name, damage", [
+    ("model-logistic.json", _format_2_model), ("tfidf.json", _format_2_tfidf)])
+def test_files_of_the_previous_layout_are_rejected(
+        default_run, tmp_path, capsys, name, damage):
+    doc = json.loads((default_run / name).read_text())
+    damage(doc)
+    files = {"tfidf.json": default_run / "tfidf.json",
+             "model-logistic.json": default_run / "model-logistic.json",
+             name: tmp_path / name}
+    files[name].write_text(json.dumps(doc))
+    assert main(["eval", "--dataset", str(default_run / "dataset.tsv"),
+                 "--tfidf", str(files["tfidf.json"]),
+                 "--model-file", str(files["model-logistic.json"]),
+                 "--out", str(tmp_path / "out")]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    message = json.loads(line)["message"]
+    assert str(files[name]) in message and "unsupported format version" in message
+
+
 def _format_1(doc):
-    """The feature file as the previous format wrote it: no split record."""
+    """The feature file as format 1 wrote it: no split record."""
     doc["format_version"] = 1
     doc.pop("split", None)
+
+
+def _first_doc_freq(value):
+    def edit(doc):
+        doc["vocabulary"][min(doc["vocabulary"])] = value
+    return edit
 
 
 @pytest.mark.parametrize("damage, names", [
     (_format_1, "unsupported format version"),
     (lambda doc: doc["split"].update(ratio="0.75"), "split not as saving it"),
     (lambda doc: doc["split"].update(ratio=1.5), "split ratio 1.5 outside (0, 1)"),
-], ids=["format-1", "string-ratio", "ratio-above-1"])
+    (_first_doc_freq(math.inf), "ValueError: non-finite number Infinity"),
+    (_first_doc_freq(10**400), "OverflowError: int too large to convert to float"),
+], ids=["format-1", "string-ratio", "ratio-above-1", "infinite-doc-freq",
+        "huge-doc-freq"])
 def test_feature_file_without_a_valid_split_is_rejected(
         default_run, tmp_path, capsys, damage, names):
     doc = json.loads((default_run / "tfidf.json").read_text())

@@ -208,14 +208,15 @@ def pinned_problem():
 
 def test_saved_tree_bytes_pinned(tmp_path):
     """The nodes were pinned from the dense split search (485 nodes); the
-    SHA-256 is of model format 2, whose hyperparams hold no criterion."""
+    SHA-256 is of model format 3, whose hyperparams hold no criterion and
+    whose nodes store no `left`, the next node in preorder."""
     X, y = pinned_problem()
     model = train_decision_tree(X, y, TreeHyperparams(seed=11))
     path = tmp_path / "tree.json"
     save_model(model, path, "0" * 64)
     assert len(model.nodes) == 485
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "6785aebf45ce2954ecd6b4fcc6ff69f8e462598ae83f8eefd44a7aadc49c1239")
+        "8350ead380bac687f0e508605291f879638acd2acdfa5947da990c4e85fdaf33")
 
 
 def route_one_row(model, row):
