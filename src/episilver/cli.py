@@ -134,23 +134,19 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    from . import features
     from .pipeline import fit_features, split_dataset, train_model
 
     train, _ = split_dataset(
         read_dataset_tsv(args.dataset), args.ratio, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    texts = [ex.text for ex in train]
-    tfidf = fit_features(
-        texts, load_ruleset(args.ruleset) if args.mask_keywords else None,
-        args.ratio, args.seed, out_dir)
-    checksum = features.idf_checksum(tfidf)
-    X_train = features.transform(tfidf, texts)
+    mask = load_ruleset(args.ruleset) if args.mask_keywords else None
+    tfidf, X_train = fit_features(
+        [ex.text for ex in train], mask, args.ratio, args.seed, out_dir)
     y_train = [ex.label for ex in train]
     kinds = MODEL_KINDS if args.model == "all" else (args.model,)
     for kind in kinds:
-        train_model(kind, X_train, y_train, args.seed, checksum, out_dir)
+        train_model(kind, X_train, y_train, args.seed, tfidf, out_dir)
         print(f"trained {kind} on {len(y_train)} examples -> model-{kind}.json")
     return 0
 

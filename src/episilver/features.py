@@ -12,7 +12,7 @@ import hashlib
 import json
 import re
 from collections import Counter
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -51,23 +51,17 @@ class TfIdfModel:
         return np.log((1.0 + self.doc_count) / (1.0 + self.doc_freq)) + 1.0
 
 
-def fit_tfidf(
-    docs: Iterable[str],
-    exclude: Callable[[str], bool] | None = None,
-) -> TfIdfModel:
-    """Fit vocabulary and idf weights over normalized texts.
-
-    ``exclude`` drops matching tokens from the vocabulary before
-    fitting (used to mask labeling-rule keywords); transform then
-    ignores them as out-of-vocabulary.
-    """
+def fit_tfidf(docs: Iterable[str], masked: Iterable[str] = ()) -> TfIdfModel:
+    """Fit vocabulary and idf weights over normalized texts; the ``masked``
+    tokens (the rule keywords under ``--mask-keywords``) stay out of the
+    vocabulary, so transform ignores them as out-of-vocabulary."""
     df: Counter[str] = Counter()
     n_docs = 0
     for text in docs:
         n_docs += 1
         df.update(set(tokenize(text)))
-    if exclude is not None:
-        df = Counter({t: c for t, c in df.items() if not exclude(t)})
+    for token in masked:
+        del df[token]
     if not df:
         raise FitError("no usable tokens in the fitted documents")
     return _tfidf_model(df, n_docs)

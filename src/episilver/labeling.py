@@ -87,14 +87,11 @@ class Ruleset:
     the literals of a pattern that ignores case are lowercased and
     folded. A rule with no required literal, or one that is not ASCII,
     has the single key "", which every text contains (see
-    ``match_rules``). Iterating gives (rule, compiled pattern) pairs."""
+    ``match_rules``)."""
 
     rules: tuple[LabelRule, ...]
     compiled: tuple[re.Pattern, ...]
     keys: tuple[tuple[int, str, bool], ...]
-
-    def __iter__(self):
-        return iter(zip(self.rules, self.compiled))
 
 
 # POSSESSIVE_REPEAT came with Python 3.11.

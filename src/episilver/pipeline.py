@@ -13,6 +13,7 @@ The back half has one implementation per stage (`split_dataset`,
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +29,7 @@ from .config import (  # noqa: F401
     derive_seed,
 )
 from .corpus import ingest_files
-from .errors import DataError, stage
+from .errors import DataError, StratificationError, stage
 from .labeling import (
     EpidemicClass,
     Ruleset,
@@ -37,6 +38,8 @@ from .labeling import (
     match_rules,
     write_dataset_tsv,
 )
+
+_WORD_BEFORE, _WORD_AFTER = re.compile(r"\w*\Z"), re.compile(r"\w*")
 
 
 @dataclass
@@ -58,29 +61,41 @@ def split_dataset(examples, ratio: float, master_seed: int):
         raise DataError("empty dataset")
     split = models.stratified_split(
         [ex.label for ex in examples], ratio, derive_seed(master_seed, "split"))
+    if not split.validation:
+        raise StratificationError(f"split ratio {ratio} leaves no validation "
+                                  f"example of {len(examples)}")
     return ([examples[i] for i in split.train],
             [examples[i] for i in split.validation])
 
 
 def fit_features(texts, mask: Ruleset | None, ratio: float, master_seed: int,
-                 out_dir: Path) -> features.TfIdfModel:
-    """Fit TF-IDF on the training texts and write tfidf.json, with their
-    split record, into out_dir; with a ruleset, every token that one of
-    its rules matches stays out of the vocabulary (``--mask-keywords``)."""
-    exclude = None
+                 out_dir: Path):
+    """Fit TF-IDF on the training texts, write tfidf.json with their split
+    record into out_dir, and return the model and the training rows. With a
+    ruleset (``--mask-keywords``), each rule match in a training text, widened
+    to the word characters on both sides, keeps its tokens out of the vocabulary."""
+    masked: set[str] = set()
     if mask is not None:
-        exclude = lambda token: bool(match_rules(mask, token))  # noqa: E731
-    tfidf = features.fit_tfidf(texts, exclude=exclude)
+        patterns = dict(zip(mask.rules, mask.compiled))
+        for text in texts:
+            for rule in match_rules(mask, text):
+                for m in patterns[rule].finditer(text):
+                    # no run of word characters crosses a space
+                    start = _WORD_BEFORE.search(
+                        text, text.rfind(" ", 0, m.start()) + 1, m.start()).start()
+                    end = _WORD_AFTER.match(text, m.end()).end()
+                    masked.update(features.tokenize(text[start:end]))
+    tfidf = features.fit_tfidf(texts, masked)
     features.save_tfidf(tfidf, out_dir / "tfidf.json",
                         features.split_record(texts, ratio, master_seed))
-    return tfidf
+    return tfidf, features.transform(tfidf, texts)
 
 
 def train_model(kind: str, X_train, y_train, master_seed: int,
-                tfidf_checksum: str, out_dir: Path):
+                tfidf: features.TfIdfModel, out_dir: Path):
     """Train one model kind at the default hyperparameters, the tree's
-    sampling seed derived from the master seed, and write
-    model-<kind>.json into out_dir."""
+    sampling seed derived from the master seed, and write model-<kind>.json,
+    with the idf checksum of tfidf, the rows' feature model, into out_dir."""
     if kind == "tree":
         model = models.train_decision_tree(
             X_train, y_train,
@@ -89,7 +104,7 @@ def train_model(kind: str, X_train, y_train, master_seed: int,
         model = models.train_logistic(X_train, y_train)
     else:
         model = models.train_linear_svm(X_train, y_train)
-    models.save_model(model, out_dir / f"model-{kind}.json", tfidf_checksum)
+    models.save_model(model, out_dir / f"model-{kind}.json", features.idf_checksum(tfidf))
     return model
 
 
@@ -172,12 +187,9 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
 
     t0 = time.perf_counter()
     with stage("features"):
-        train_texts = [ex.text for ex in train]
-        tfidf = fit_features(
-            train_texts, ruleset if config.mask_keywords else None,
+        tfidf, X_train = fit_features(
+            [ex.text for ex in train], ruleset if config.mask_keywords else None,
             config.ratio, config.master_seed, out_dir)
-        checksum = features.idf_checksum(tfidf)
-        X_train = features.transform(tfidf, train_texts)
         X_val = features.transform(tfidf, (ex.text for ex in validation))
         y_train = [ex.label for ex in train]
         y_val = [ex.label for ex in validation]
@@ -196,7 +208,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         t0 = time.perf_counter()
         with stage("train"):
             model = train_model(
-                kind, X_train, y_train, config.master_seed, checksum, out_dir)
+                kind, X_train, y_train, config.master_seed, tfidf, out_dir)
             manifest["artifacts"][f"model-{kind}"] = f"model-{kind}.json"
             manifest["stages"]["models"][kind] = {
                 "classes": [c.label for c in model.class_order],

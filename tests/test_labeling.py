@@ -134,7 +134,8 @@ class TestMatching:
 
 
 def _unfiltered(ruleset, text):
-    return tuple(r for r, rx in ruleset if rx.search(text))
+    return tuple(r for r, rx in zip(ruleset.rules, ruleset.compiled)
+                 if rx.search(text))
 
 
 # Patterns from a small grammar: literals, boundaries, classes, plain and

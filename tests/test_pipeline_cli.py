@@ -4,15 +4,19 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import episilver
 from episilver import cli, features, labeling, models, pipeline
 from episilver.cli import main
+from episilver.corpus import ingest_files
 from episilver.errors import ConfigError, DataError
 from episilver.labeling import EpidemicClass as EC
 from episilver.pipeline import PipelineConfig, config_hash, derive_seed, run_pipeline
@@ -130,6 +134,100 @@ class TestRunPipeline:
         assert "threads" not in a.manifest["config"]
         assert config_hash(small_config(large_corpus[0], "out", threads=1)) \
             == config_hash(small_config(large_corpus[0], "out", threads=4))
+
+
+@pytest.fixture(scope="module")
+def keyword_corpus(tmp_path_factory):
+    """The classes whose keywords are not one lowercase token: ``AIDS``,
+    ``yellow fever`` and ``swine flu``, each in some cased variant."""
+    root = tmp_path_factory.mktemp("keywords")
+    corpus, docs = root / "corpus.jsonl", root / "docs.tsv"
+    write_corpus(SynthSpec(class_counts={EC.HIV_AIDS: 30, EC.YELLOW_FEVER: 30,
+                                         EC.SWINE_FLU: 30, EC.NON_EPIDEMIC: 200},
+                           seed=5), str(corpus))
+    assert main(["ingest", "--input", str(corpus), "--out", str(docs),
+                 "--threads", "1", "--stats", str(root / "ingest.json")]) == 0
+    return corpus, docs
+
+
+def _vocabulary(out_dir):
+    return set(json.loads((out_dir / "tfidf.json").read_text())["vocabulary"])
+
+
+def _overlapping_tokens(text, span):
+    """The tokens of text that share a character with the span."""
+    start, end = span
+    return {m.group() for m in re.finditer(r"\w{2,}", text.lower())
+            if m.start() < end and start < m.end()}
+
+
+class TestMaskKeywords:
+    """`--mask-keywords` keeps out of the vocabulary every token that a
+    rule match in a training text overlaps."""
+
+    @pytest.mark.parametrize("classes, keyword, tokens", [
+        ("hiv_aids", r"\bAIDS\b", {"aids"}),
+        ("yellow_fever", r"(?i)\byellow\s+fever\b", {"yellow", "fever"}),
+    ], ids=["case-sensitive", "multi-word"])
+    def test_train_masks_every_token_of_a_keyword(
+            self, keyword_corpus, tmp_path, classes, keyword, tokens):
+        dataset, out = tmp_path / "dataset.tsv", tmp_path / "out"
+        assert main(["label", "--input", str(keyword_corpus[1]), "--out", str(dataset),
+                     "--classes", classes, "--stats", str(tmp_path / "l.json")]) == 0
+        assert re.search(keyword, dataset.read_text(encoding="utf-8"))
+        assert main(["train", "--dataset", str(dataset), "--out", str(out),
+                     "--model", "logistic", "--mask-keywords"]) == 0
+        assert not tokens & _vocabulary(out)
+        unmasked = tmp_path / "unmasked"
+        assert main(["train", "--dataset", str(dataset), "--out", str(unmasked),
+                     "--model", "logistic"]) == 0
+        assert tokens <= _vocabulary(unmasked)
+
+    def test_priority_policy_masks_both_words_of_swine_flu(
+            self, keyword_corpus, tmp_path):
+        """Under `priority` a text holding `swine flu` is labelled swine_flu,
+        though `flu` matches on its own too."""
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(keyword_corpus[0]), "--out", str(out),
+                     "--classes", "swine_flu", "--policy", "priority",
+                     "--model", "logistic", "--threads", "1",
+                     "--mask-keywords"]) == 0
+        assert re.search(r"(?i)\bswine\s+flu\b",
+                         (out / "dataset.tsv").read_text(encoding="utf-8"))
+        assert not {"swine", "flu"} & _vocabulary(out)
+
+    def test_unbounded_rule_masks_the_whole_word(self, tmp_path):
+        ruleset = labeling.parse_ruleset_text("ebola\t0\t0\tebola\n")
+        texts = ["the ebolavirus spreads", "ebola outbreak news", "plain words"]
+        pipeline.fit_features(texts, ruleset, 0.8, 0, tmp_path)
+        vocabulary = _vocabulary(tmp_path)
+        assert not {"ebola", "ebolavirus"} & vocabulary
+        assert {"spreads", "outbreak", "plain"} <= vocabulary
+
+    @settings(max_examples=25, deadline=None)
+    @given(counts=st.lists(st.integers(0, 4), min_size=10, max_size=10).filter(any),
+           policy=st.sampled_from(labeling.MULTI_MATCH_POLICIES),
+           seed=st.integers(0, 2**16))
+    def test_no_token_overlaps_a_match(self, counts, policy, seed):
+        """Over small synth corpora with the default rules, no vocabulary
+        token overlaps a rule match in any training text."""
+        class_counts = dict(zip(EC.epidemic_members(), counts))
+        class_counts[EC.NON_EPIDEMIC] = sum(counts) + 8
+        ruleset = labeling.default_ruleset()
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = Path(tmp) / "corpus.jsonl"
+            write_corpus(SynthSpec(class_counts=class_counts, seed=seed), str(corpus))
+            docs, _ = ingest_files((str(corpus),), None, 1)
+            dataset, _ = labeling.label_documents(
+                docs, ruleset, EC.epidemic_members(), policy, seed)
+            assume(dataset.examples)
+            texts = [ex.text for ex in dataset.examples]
+            pipeline.fit_features(texts, ruleset, 0.8, seed, Path(tmp))
+            vocabulary = _vocabulary(Path(tmp))
+        for text in texts:
+            for rx in ruleset.compiled:
+                for m in rx.finditer(text):
+                    assert not _overlapping_tokens(text, m.span()) & vocabulary, text
 
 
 @pytest.fixture(scope="module")
@@ -505,6 +603,25 @@ class TestCli:
         assert code == 4
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "DegenerateLabelsError"
+
+    def test_empty_validation_split_exits_3_before_training(self, tmp_path, capsys):
+        """Two examples of each class at the default ratio, 0.75, leave none
+        for validation: `run` and `train` refuse the split instead of
+        writing models that no `eval` can score."""
+        corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out"
+        assert main(["synth", "--out", str(corpus), "--seed", "1",
+                     "--counts", "cholera=2,non_epidemic=4"]) == 0
+        assert main(["run", "--input", str(corpus), "--out", str(out),
+                     "--classes", "cholera", "--threads", "1"]) == 3
+        assert main(["train", "--dataset", str(out / "dataset.tsv"),
+                     "--out", str(tmp_path / "staged")]) == 3
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [(r["stage"], r["error"]) for r in records] == [
+            ("split", "StratificationError"), ("train", "StratificationError")]
+        for record in records:
+            assert "ratio 0.75" in record["message"] and " 4" in record["message"]
+        assert sorted(p.name for p in out.iterdir()) == ["dataset.tsv"]
+        assert not (tmp_path / "staged").exists()
 
     def test_eval_rejects_foreign_feature_model(self, small_corpus, tmp_path, capsys):
         docs = tmp_path / "docs.tsv"
