@@ -81,6 +81,16 @@ def _read_docs_tsv(path: str) -> list[NormalizedDocument]:
     ]
 
 
+def _write_stats(summary: dict, path: str | None) -> None:
+    """Write the summary as one sorted JSON line to the --stats file, or to
+    stderr when there is none."""
+    line = json.dumps(summary, sort_keys=True)
+    if path:
+        Path(path).write_text(line + "\n", encoding="utf-8")
+    else:
+        print(line, file=sys.stderr)
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     from .synth import SynthSpec, write_corpus
 
@@ -103,11 +113,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     check_distinct_paths(args.input, (args.out, args.stats))
     docs, stats = ingest_files(args.input, _lang_arg(args.lang), args.threads)
     _write_docs_tsv(docs, args.out)
-    summary = json.dumps(stats.as_dict(), sort_keys=True)
-    if args.stats:
-        Path(args.stats).write_text(summary + "\n", encoding="utf-8")
-    else:
-        print(summary, file=sys.stderr)
+    _write_stats(stats.as_dict(), args.stats)
     print(f"wrote {len(docs)} documents to {args.out}")
     return 0
 
@@ -122,13 +128,7 @@ def cmd_label(args: argparse.Namespace) -> int:
     )
     write_dataset_tsv(dataset, args.out)
     counts = {c.label: n for c, n in dataset.class_counts.items()}
-    summary = json.dumps(
-        {"class_counts": counts, "total": dataset.total, **stats}, sort_keys=True
-    )
-    if args.stats:
-        Path(args.stats).write_text(summary + "\n", encoding="utf-8")
-    else:
-        print(summary, file=sys.stderr)
+    _write_stats({"class_counts": counts, "total": dataset.total, **stats}, args.stats)
     print(f"wrote {dataset.total} examples to {args.out}")
     return 0
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 from .errors import ConfigError
 from .labeling import EpidemicClass
@@ -59,21 +59,26 @@ class PipelineConfig:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
     def as_dict(self) -> dict:
-        """The configuration as JSON values, without `threads`: the worker
-        count says how ingest ran, not what the run computed, so it stays
-        out of this record and of `config_hash`."""
+        """The configuration as JSON values, less `threads` and `out_dir`:
+        how ingest ran and where the files went are not what the run
+        computed, so both stay out of this record and of `config_hash`."""
         fields = asdict(self)
-        del fields["threads"]
+        del fields["threads"], fields["out_dir"]
         return {**fields,
                 "included_classes": [c.label for c in self.included_classes]}
 
 
 def check_distinct_paths(inputs, outputs) -> None:
     """Raise ConfigError unless the input paths and the given output paths
-    are all distinct, so that no command overwrites what it reads."""
-    paths = [str(Path(p)) for p in (*inputs, *outputs) if p is not None]
-    if len(set(paths)) != len(paths):
-        raise ConfigError("input and output paths must be distinct")
+    name distinct files, however each is spelled (relative, through a
+    symlink), so that no command overwrites what it reads."""
+    seen: dict[str, str] = {}
+    for path in (p for p in (*inputs, *outputs) if p is not None):
+        # realpath, unlike Path.resolve, does not raise on a symlink loop
+        if (real := os.path.realpath(path)) in seen:
+            raise ConfigError(f"{seen[real]} and {path} name the same file; "
+                              "input and output paths must be distinct")
+        seen[real] = path
 
 
 def derive_seed(master: int, stage: str) -> int:

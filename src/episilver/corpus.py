@@ -65,7 +65,6 @@ class TweetRecord(NamedTuple):
     text: str
     lang: str | None
     is_retweet: bool
-    source_tag: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,7 +138,7 @@ def parse_record(line: str, source_tag: str, *, byte_offset: int = 0) -> TweetRe
     if not isinstance(lang, str):
         lang = None
     is_retweet = "retweeted_status" in obj or text.startswith(_RT_PREFIX)
-    return TweetRecord(tweet_id, text, lang, is_retweet, source_tag)
+    return TweetRecord(tweet_id, text, lang, is_retweet)
 
 
 def filter_original(record: TweetRecord, require_lang: str | None = None) -> bool:

@@ -365,7 +365,7 @@ def label_documents(
     negatives = sample_negatives(pool, n_needed, seed)
     stats = {"matched": matched, "ambiguous_excluded": ambiguous,
              "unmatched": len(pool)}
-    return build_silver_dataset(positives, negatives, seed=seed), stats
+    return build_silver_dataset(positives, negatives), stats
 
 
 @dataclass(frozen=True)
@@ -379,16 +379,13 @@ class SilverDataset:
 
     examples: tuple[LabeledExample, ...]
     class_counts: dict[EpidemicClass, int]
-    seed: int = 0
 
     @property
     def total(self) -> int:
         return sum(self.class_counts.values())
 
     @classmethod
-    def from_counts(
-        cls, counts: Mapping[EpidemicClass, int], seed: int = 0
-    ) -> "SilverDataset":
+    def from_counts(cls, counts: Mapping[EpidemicClass, int]) -> "SilverDataset":
         for c, n in counts.items():
             if n < 0:
                 raise DataError(f"negative count {n} for {c.label}")
@@ -396,7 +393,7 @@ class SilverDataset:
             counts.get(EpidemicClass.NON_EPIDEMIC, 0),
             sum(n for c, n in counts.items() if c is not EpidemicClass.NON_EPIDEMIC),
         )
-        return cls(examples=(), class_counts=dict(counts), seed=seed)
+        return cls(examples=(), class_counts=dict(counts))
 
 
 def _check_balance(n_negative: int, n_positive: int) -> None:
@@ -410,7 +407,6 @@ def _check_balance(n_negative: int, n_positive: int) -> None:
 def build_silver_dataset(
     positives: Mapping[EpidemicClass, Sequence[LabeledExample]],
     negatives: Sequence[LabeledExample],
-    seed: int = 0,
 ) -> SilverDataset:
     """Assemble and validate a balanced silver-standard dataset.
 
@@ -446,7 +442,7 @@ def build_silver_dataset(
                 f"duplicate text in dataset (example {ex.id}): {ex.text[:60]!r}"
             )
         seen.add(ex.text)
-    return SilverDataset(examples=tuple(ordered), class_counts=counts, seed=seed)
+    return SilverDataset(examples=tuple(ordered), class_counts=counts)
 
 
 DATASET_HEADER = "id\tlabel\ttext"

@@ -1,9 +1,9 @@
 """End-to-end orchestration: ingest through evaluation, with a manifest.
 
 Every run writes a manifest recording the resolved configuration, a
-hash of it, all derived seeds and per-stage counts, so any reported
-number can be traced back to its inputs. Dataset, model and report
-files are byte-identical across runs with the same configuration.
+hash of it, all derived seeds, per-stage counts and wall times, so any
+reported number can be traced back to its inputs. The other files, and
+the manifest less its timings, are byte-identical for one configuration.
 
 The back half has one implementation per stage (`split_dataset`,
 `fit_features`, `train_model`, `evaluate`); `run_pipeline` and the
@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -123,115 +124,84 @@ def evaluate(model, X_val, y_val, out_dir: Path) -> evaluation.EvalReport:
     return report
 
 
+@contextmanager
+def _timed(name: str, timings: dict, key: str | None = None):
+    """Run the block as stage `name` and store its wall time in timings
+    under `key`, or under `name` when no key is given."""
+    t0 = time.perf_counter()
+    with stage(name):
+        yield
+    timings[key or name] = time.perf_counter() - t0
+
+
 def run_pipeline(config: PipelineConfig) -> RunResult:
     """Execute ingest -> label -> balance -> split -> features -> train
     -> evaluate, writing dataset, model, report and manifest files."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = {
-        "master": config.master_seed,
-        "negatives": derive_seed(config.master_seed, "negatives"),
-        "split": derive_seed(config.master_seed, "split"),
-        "tree": derive_seed(config.master_seed, "tree"),
-    }
-    manifest: dict = {
-        "config": config.as_dict(),
-        "config_sha256": config_hash(config),
-        "seeds": seeds,
-        "stages": {},
-        "artifacts": {},
-        "timings": {},
-        "threads": config.threads,
-    }
-    timings = manifest["timings"]
+    seed = config.master_seed
+    seeds = {"master": seed,
+             **{s: derive_seed(seed, s) for s in ("negatives", "split", "tree")}}
+    timings: dict[str, float] = {}
 
     with stage("config"):
         ruleset = load_ruleset(config.ruleset_path)
-
-    t0 = time.perf_counter()
-    with stage("ingest"):
-        docs, stats = ingest_files(
-            config.inputs, config.require_lang, config.threads
-        )
-        manifest["stages"]["ingest"] = stats.as_dict()
-    timings["ingest"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    with stage("label"):
-        dataset, manifest["stages"]["label"] = label_documents(
-            docs, ruleset, config.included_classes, config.policy,
-            seeds["negatives"],
-        )
-    timings["label"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    with stage("balance"):
-        manifest["stages"]["dataset"] = {
-            "class_counts": {c.label: n for c, n in dataset.class_counts.items()},
-            "total": dataset.total,
-            "negatives_sampled": dataset.class_counts[EpidemicClass.NON_EPIDEMIC],
-        }
-        dataset_path = out_dir / "dataset.tsv"
-        write_dataset_tsv(dataset, dataset_path)
-        manifest["artifacts"]["dataset"] = dataset_path.name
-    timings["balance"] = time.perf_counter() - t0
-
+    with _timed("ingest", timings):
+        docs, stats = ingest_files(config.inputs, config.require_lang, config.threads)
+    with _timed("label", timings):
+        dataset, label_stats = label_documents(
+            docs, ruleset, config.included_classes, config.policy, seeds["negatives"])
+    with _timed("balance", timings):
+        write_dataset_tsv(dataset, out_dir / "dataset.tsv")
     with stage("split"):
-        train, validation = split_dataset(
-            dataset.examples, config.ratio, config.master_seed)
-        manifest["stages"]["split"] = {
-            "train": len(train),
-            "validation": len(validation),
-            "ratio": config.ratio,
-        }
-
-    t0 = time.perf_counter()
-    with stage("features"):
+        train, validation = split_dataset(dataset.examples, config.ratio, seed)
+    with _timed("features", timings):
         tfidf, X_train = fit_features(
             [ex.text for ex in train], ruleset if config.mask_keywords else None,
-            config.ratio, config.master_seed, out_dir)
+            config.ratio, seed, out_dir)
         X_val = features.transform(tfidf, (ex.text for ex in validation))
-        y_train = [ex.label for ex in train]
-        y_val = [ex.label for ex in validation]
-        manifest["stages"]["features"] = {
-            "vocabulary_size": tfidf.dim,
-            "train_documents": tfidf.doc_count,
-            "masked_keywords": config.mask_keywords,
-        }
-        manifest["artifacts"]["tfidf"] = "tfidf.json"
-    timings["features"] = time.perf_counter() - t0
+    y_train, y_val = [ex.label for ex in train], [ex.label for ex in validation]
 
-    result = RunResult(manifest=manifest, out_dir=out_dir)
-    manifest["stages"]["models"] = {}
-    manifest["stages"]["eval"] = {}
+    convergence, reports = {}, {}
     for kind in config.model_kinds:
-        t0 = time.perf_counter()
-        with stage("train"):
-            model = train_model(
-                kind, X_train, y_train, config.master_seed, tfidf, out_dir)
-            manifest["artifacts"][f"model-{kind}"] = f"model-{kind}.json"
-            manifest["stages"]["models"][kind] = {
-                "classes": [c.label for c in model.class_order],
-                "iterations": getattr(model, "n_iter", None),
-                "cg_products": getattr(model, "cg_products", None),
-                "converged": getattr(model, "converged", None),
-                "final_grad_norm": getattr(model, "final_grad_norm", None),
-            }
-        timings[f"train-{kind}"] = time.perf_counter() - t0
+        with _timed("train", timings, f"train-{kind}"):
+            model = train_model(kind, X_train, y_train, seed, tfidf, out_dir)
+        convergence[kind] = {"classes": [c.label for c in model.class_order],
+                             "iterations": getattr(model, "n_iter", None),
+                             **{k: getattr(model, k, None) for k in
+                                ("cg_products", "converged", "final_grad_norm")}}
+        with _timed("evaluate", timings, f"eval-{kind}"):
+            reports[kind] = evaluate(model, X_val, y_val, out_dir)
 
-        t0 = time.perf_counter()
-        with stage("evaluate"):
-            report = evaluate(model, X_val, y_val, out_dir)
-            result.reports[kind] = report
-            manifest["artifacts"][f"report-{kind}"] = f"report-{kind}.json"
-            manifest["stages"]["eval"][kind] = {
-                "weighted_f1": report.weighted_f1,
-                "accuracy": report.accuracy,
-            }
-        timings[f"eval-{kind}"] = time.perf_counter() - t0
-
+    manifest = {
+        "config": config.as_dict(),
+        "config_sha256": config_hash(config),
+        "seeds": seeds,
+        "stages": {
+            "ingest": stats.as_dict(),
+            "label": label_stats,
+            "dataset": {
+                "class_counts": {c.label: n for c, n in dataset.class_counts.items()},
+                "total": dataset.total,
+                "negatives_sampled": dataset.class_counts[EpidemicClass.NON_EPIDEMIC],
+            },
+            "split": {"train": len(train), "validation": len(validation),
+                      "ratio": config.ratio},
+            "features": {"vocabulary_size": tfidf.dim, "train_documents": tfidf.doc_count,
+                         "masked_keywords": config.mask_keywords},
+            "models": convergence,
+            "eval": {kind: {"weighted_f1": r.weighted_f1, "accuracy": r.accuracy}
+                     for kind, r in reports.items()},
+        },
+        "artifacts": {
+            "dataset": "dataset.tsv", "tfidf": "tfidf.json",
+            **{f"{name}-{kind}": f"{name}-{kind}.json"
+               for kind in reports for name in ("model", "report")},
+        },
+        "timings": timings,
+        "threads": config.threads,
+    }
     with stage("manifest"):
         (out_dir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
-        )
-    return result
+            json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+    return RunResult(manifest, out_dir, reports)

@@ -14,6 +14,7 @@ its P/R, that the rows which disagree are exactly the five tree rows,
 and that the two bounds are broken for the tree and hold for the others.
 """
 
+import json
 import math
 import random
 import time
@@ -327,9 +328,15 @@ def test_criterion_5_end_to_end_synthetic_run(pipeline_runs):
            f"tree={scores['tree']:.4f}, {elapsed:.1f}s for 10000 docs")
 
 
+def _manifest_less_timings(out_dir):
+    manifest = json.loads((out_dir / "manifest.json").read_bytes())
+    del manifest["timings"]
+    return manifest
+
+
 def test_criterion_6_byte_identical_artifacts(pipeline_runs):
     run_a, run_b = pipeline_runs["results"]
-    names = ["dataset.tsv"]
+    names = ["dataset.tsv", "tfidf.json"]
     for kind in ("logistic", "svm", "tree"):
         names += [f"report-{kind}.tsv", f"report-{kind}.json",
                   f"confusion-{kind}.csv", f"model-{kind}.json"]
@@ -337,6 +344,10 @@ def test_criterion_6_byte_identical_artifacts(pipeline_runs):
         name for name in names
         if (run_a.out_dir / name).read_bytes() != (run_b.out_dir / name).read_bytes()
     ]
+    # the manifest, less its wall-clock timings
+    names.append("manifest.json")
+    if _manifest_less_timings(run_a.out_dir) != _manifest_less_timings(run_b.out_dir):
+        differing.append("manifest.json")
     record("6", not differing,
            f"{len(names) - len(differing)}/{len(names)} files byte-identical"
            + (f"; differing: {differing}" if differing else ""))

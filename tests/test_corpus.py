@@ -32,7 +32,6 @@ class TestParseRecord:
         assert rec.text == "flu season"
         assert rec.lang == "en"
         assert not rec.is_retweet
-        assert rec.source_tag == "f"
 
     def test_rt_prefix_marks_retweet(self):
         rec = parse_record('{"id_str":"8","text":"RT @x: ebola","lang":"en"}', "f")
@@ -99,7 +98,7 @@ def _reference_parse_record(line, source_tag):
         return (SchemaError, str(exc), None)
     lang = obj.get("lang") if isinstance(obj.get("lang"), str) else None
     is_retweet = "retweeted_status" in obj or text.startswith("RT @")
-    return (tweet_id, text, lang, is_retweet, source_tag)
+    return (tweet_id, text, lang, is_retweet)
 
 
 ID_SHAPES = ["7", "007", "", "12a", "\u0663", "\u00b2", "-1", 7, 0, -3, True, False,

@@ -98,6 +98,20 @@ class TestRunPipeline:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
+        # the manifest's config and hash leave out the output path, so only
+        # its wall-clock timings differ
+        a, b = (json.loads((tmp_path / d / "manifest.json").read_text())
+                for d in "ab")
+        assert a.pop("timings").keys() == b.pop("timings").keys()
+        assert a == b
+
+    def test_manifest_times_each_stage(self, default_run):
+        timings = json.loads((default_run / "manifest.json").read_text())["timings"]
+        kinds = ("logistic", "svm", "tree")
+        assert set(timings) == {"ingest", "label", "balance", "features",
+                                *(f"train-{k}" for k in kinds),
+                                *(f"eval-{k}" for k in kinds)}
+        assert all(isinstance(t, float) and t >= 0 for t in timings.values())
 
     def test_unreadable_input_fails_in_ingest(self, tmp_path):
         config = PipelineConfig(
@@ -512,22 +526,34 @@ class TestCli:
         assert record["error"] == "ConfigError"
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--out", "--stats"])
+    @pytest.mark.parametrize("flag, spelling", [
+        pytest.param(flag, spelling,
+                     id=flag if spelling == "absolute" else f"{flag}-{spelling}")
+        for spelling in ("absolute", "relative", "symlink")
+        for flag in ("--out", "--stats")])
     @pytest.mark.parametrize("command", ["ingest", "label"])
     def test_output_over_input_exits_2(self, small_corpus, small_docs, tmp_path,
-                                       capsys, command, flag):
+                                       capsys, monkeypatch, command, flag, spelling):
+        """The output names the input's file: by the same absolute path, by
+        a path relative to the working directory, or through a symlink."""
         original = Path(
             small_corpus if command == "ingest" else small_docs).read_bytes()
         source = tmp_path / "input"
         source.write_bytes(original)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link").symlink_to(source)
+        same_file = {"absolute": str(source), "relative": "input",
+                     "symlink": str(tmp_path / "link")}[spelling]
         outputs = {"--out": str(tmp_path / "out.tsv"),
-                   "--stats": str(tmp_path / "stats.json"), flag: str(source)}
+                   "--stats": str(tmp_path / "stats.json"), flag: same_file}
         threads = ["--threads", "1"] if command == "ingest" else []
         code = main([command, "--input", str(source), *threads,
                      *(arg for item in outputs.items() for arg in item)])
         assert code == 2
         (line,) = capsys.readouterr().err.splitlines()
-        assert json.loads(line)["error"] == "ConfigError"
+        record = json.loads(line)
+        assert record["error"] == "ConfigError"
+        assert f"{source} and {same_file} name the same file" in record["message"]
         assert source.read_bytes() == original
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
