@@ -6,9 +6,9 @@ TF-IDF features and are scored with per-class precision/recall/F1,
 weighted F1, accuracy and confusion matrices.
 
 The exports below load their module on first access (PEP 562), so
-``import episilver`` loads no numeric package; numpy and scipy come in
-with the first name from ``evaluation``, ``features``, ``models`` or
-``pipeline``.
+``import episilver`` loads no numeric package; numpy comes in with the
+first name from ``evaluation``, ``features``, ``models`` or
+``pipeline``, and scipy only when a trainer runs.
 """
 
 import importlib
@@ -25,7 +25,7 @@ _EXPORTS = {
         "confusion_matrix", "normalize_confusion", "render_report",
         "weighted_f1",
     ),
-    "features": ("TfIdfModel", "fit_tfidf", "tokenize", "transform"),
+    "features": ("CsrArrays", "TfIdfModel", "fit_tfidf", "tokenize", "transform"),
     "labeling": (
         "EpidemicClass", "LabeledExample", "LabelRule", "Ruleset",
         "SilverDataset", "build_silver_dataset",

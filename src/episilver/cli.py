@@ -16,9 +16,10 @@ import sys
 from pathlib import Path
 
 # Only stdlib-only modules at the top: the commands that train or score
-# import the numeric ones (numpy, scipy) when they run, so `--help`,
-# `synth`, `ingest` and `label`, and the ingest worker processes, never
-# load them.
+# import the numeric ones when they run, so `--help`, `synth`, `ingest`
+# and `label`, and the ingest worker processes, never load them. Of the
+# others, `eval` and `report` load numpy only; scipy comes in with the
+# trainers, so only `train` and `run` load it.
 from .config import (
     DEFAULT_CLASSES,
     MODEL_KINDS,

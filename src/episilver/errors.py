@@ -124,12 +124,42 @@ def _finite(text: str) -> float:
     return value
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _same(a: Any, b: Any) -> bool:
+    """Whether two values of the types json parses to dump alike: the same
+    types (so true, 1 and 1.0 differ), key sets and list lengths, and equal
+    scalars, a float's sign of zero included (0.0 and -0.0 dump apart)."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and _same_items(list(a.values()), [b[k] for k in a])
+    if type(a) is list:
+        return len(a) == len(b) and _same_items(a, b)
+    return a == b and (type(a) is not float
+                       or math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+def _same_items(a: list, b: list) -> bool:
+    """`_same` of each pair of two lists of one length."""
+    types = list(map(type, a))
+    if types == list(map(type, b)) and _SCALARS.issuperset(types):
+        # scalars of one type per position: the lists compare in C, and
+        # equal floats dump apart only as 0.0 and -0.0
+        return a == b and all(
+            math.copysign(1.0, x) == math.copysign(1.0, y)
+            for x, y in zip(a, b) if type(x) is float and x == 0.0)
+    return all(map(_same, a, b))
+
+
 def read_document(data: bytes | str, origin: str, what: str, version: int,
                   build: Callable[[dict], Any], dump: Callable[[Any], dict],
                   basis: str = "saving it again") -> Any:
     """Load a JSON file the program wrote: `build` makes the object, giving
     each value its declared type, and the file is accepted only if `dump`,
-    the saver's document for it, gives it back, top-level key by key.
+    the saver's document for it, gives it back, top-level key by key, in
+    the types json parses to (`_same`).
     Invalid UTF-8 or JSON, a non-finite number (NaN, Infinity, 1e400) or
     one too large for its type, another format version, a key that differs
     or that one side lacks, a missing key and a value of the wrong type,
@@ -143,9 +173,7 @@ def read_document(data: bytes | str, origin: str, what: str, version: int,
         saved = dump(loaded)
         differ = sorted(
             key for key in doc.keys() | saved.keys()
-            if key not in doc or key not in saved
-            or json.dumps(doc[key], sort_keys=True)
-            != json.dumps(saved[key], sort_keys=True))
+            if key not in doc or key not in saved or not _same(doc[key], saved[key]))
         if differ:
             raise ValueError(f"{', '.join(differ)} not as {basis} gives")
     except (KeyError, TypeError, ValueError, IndexError, AttributeError,

@@ -1,9 +1,10 @@
 """TF-IDF features: tokenizer, fitted vocabulary and document vectors.
 
 idf uses the smoothed form ln((1+N)/(1+df)) + 1. `transform` turns a
-batch of texts into one L2-normalized CSR row each, the matrix the
-trainers and `predict` take as it is. Vocabulary order is lexicographic
-so fitting is order-independent and shard-mergeable.
+batch of texts into one L2-normalized CSR row each, as the CSR arrays
+(`CsrArrays`) that the trainers and `predict` take as they are.
+Vocabulary order is lexicographic so fitting is order-independent and
+shard-mergeable. This module loads numpy but not scipy.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .errors import FitError, read_document
 
@@ -74,7 +75,19 @@ def _tfidf_model(df: Mapping[str, int], doc_count: int) -> TfIdfModel:
     return TfIdfModel(vocabulary=vocabulary, doc_freq=doc_freq, doc_count=doc_count)
 
 
-def transform(model: TfIdfModel, texts: Iterable[str]) -> sparse.csr_matrix:
+class CsrArrays(NamedTuple):
+    """A sparse matrix in compressed sparse row form: row r holds the
+    values data[indptr[r]:indptr[r + 1]] in the columns indices[...] of
+    the same slice. These are the four attributes a scipy CSR matrix has,
+    so code that reads only them takes either."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+
+def transform(model: TfIdfModel, texts: Iterable[str]) -> CsrArrays:
     """One row per text: counts x idf in increasing column order,
     L2-normalized; out-of-vocabulary tokens are ignored, so a text with
     none in the vocabulary gives an empty row. Rows have no stored
@@ -97,11 +110,10 @@ def transform(model: TfIdfModel, texts: Iterable[str]) -> sparse.csr_matrix:
             indices.extend(columns)
             data.extend(values.tolist())
         indptr.append(len(indices))
-    return sparse.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int32),
-         np.array(indptr, dtype=np.int32)),
-        shape=(len(indptr) - 1, model.dim),
-    )
+    return CsrArrays(np.array(data, dtype=np.float64),
+                     np.array(indices, dtype=np.int32),
+                     np.array(indptr, dtype=np.int32),
+                     (len(indptr) - 1, model.dim))
 
 
 def idf_checksum(model: TfIdfModel) -> str:

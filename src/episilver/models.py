@@ -1,5 +1,5 @@
-"""Classifiers over the CSR rows that `features.transform` returns, taken
-as they are, plus stratified splitting.
+"""Classifiers over the CSR arrays that `features.transform` returns,
+taken as they are, plus stratified splitting.
 
 All three trainers are deterministic. The linear models start from zero
 and take truncated Newton steps (`_newton`): conjugate gradient on
@@ -17,7 +17,12 @@ exactly reproducible.
 The tree's split search reads only the stored entries of the sampled
 CSC columns: one sort per node covers all its sampled features, with
 each feature's implicit zeros counted as one block, and `predict` routes
-all rows through the tree together, one CSC column per node.
+all rows through the tree together, reading one column per node from
+the column layout that a stable sort of the CSR column indices gives.
+
+Only the trainers load scipy: each wraps its input in one
+`scipy.sparse.csr_matrix`, without a copy. `predict` reads the CSR arrays
+with numpy, so the commands that only score never import scipy.
 
 Objectives (summed over samples, weights penalized, bias free):
   logistic:      sum_i -log softmax(x_i W + b)[y_i]  +  ||W||^2 / (2 s)
@@ -36,7 +41,6 @@ from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     ConfigError,
@@ -47,6 +51,7 @@ from .errors import (
     StratificationError,
     read_document,
 )
+from .features import CsrArrays
 from .labeling import EpidemicClass
 
 ARMIJO_C = 1e-4
@@ -100,7 +105,7 @@ def softmax(scores: np.ndarray) -> np.ndarray:
 def logistic_loss_grad(
     weights: np.ndarray,
     bias: np.ndarray,
-    X: sparse.csr_matrix,
+    X,
     y_idx: np.ndarray,
     strength: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -127,7 +132,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 def squared_hinge_loss_grad(
     w: np.ndarray,
     b: float,
-    X: sparse.csr_matrix,
+    X,
     y_pm: np.ndarray,
     strength: float,
 ) -> tuple[float, np.ndarray, float]:
@@ -144,7 +149,7 @@ def squared_hinge_loss_grad(
 def logistic_hessian_product(
     weights: np.ndarray,
     bias: np.ndarray,
-    X: sparse.csr_matrix,
+    X,
     strength: float,
 ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """(V_W, v_b) -> H (V_W, v_b) for the logistic objective's Hessian at
@@ -162,7 +167,7 @@ def logistic_hessian_product(
 def squared_hinge_hessian_product(
     w: np.ndarray,
     b: float,
-    X: sparse.csr_matrix,
+    X,
     y_pm: np.ndarray,
     strength: float,
 ) -> Callable[[np.ndarray, float], tuple[np.ndarray, float]]:
@@ -306,19 +311,24 @@ def _class_setup(y: Sequence[EpidemicClass]) -> tuple[tuple[EpidemicClass, ...],
     return order, np.array([index[label] for label in y], dtype=np.intp)
 
 
-def _check_training_input(X: sparse.csr_matrix, y: Sequence[EpidemicClass]) -> None:
+def _training_matrix(X: CsrArrays, y: Sequence[EpidemicClass]):
+    """X as a scipy CSR matrix over its own arrays, not copied; DataError
+    unless X has one row per label and at least one."""
+    from scipy import sparse
+
     if X.shape[0] == 0 or X.shape[0] != len(y):
         raise DataError(f"bad training input: {X.shape[0]} rows, {len(y)} labels")
+    return sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
 
 
 def train_logistic(
-    X: sparse.csr_matrix,
+    X: CsrArrays,
     y: Sequence[EpidemicClass],
     hyperparams: LinearHyperparams | None = None,
 ) -> LinearModel:
     """Multinomial (softmax) logistic regression, zero-initialized."""
     hp = hyperparams or LinearHyperparams()
-    _check_training_input(X, y)
+    X = _training_matrix(X, y)
     class_order, y_idx = _class_setup(y)
     dim, n_classes = X.shape[1], len(class_order)
 
@@ -354,13 +364,13 @@ def train_logistic(
 
 
 def train_linear_svm(
-    X: sparse.csr_matrix,
+    X: CsrArrays,
     y: Sequence[EpidemicClass],
     hyperparams: LinearHyperparams | None = None,
 ) -> LinearModel:
     """One-vs-rest squared-hinge linear SVM; prediction is argmax margin."""
     hp = hyperparams or LinearHyperparams()
-    _check_training_input(X, y)
+    X = _training_matrix(X, y)
     class_order, y_idx = _class_setup(y)
     dim = X.shape[1]
     weights = np.zeros((dim, len(class_order)))
@@ -452,7 +462,7 @@ def _row_entropy(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
 
 
 def _feature_splits(
-    mat: sparse.csc_matrix,
+    mat,
     features: np.ndarray,
     rows: np.ndarray,
     in_node: np.ndarray,
@@ -464,12 +474,12 @@ def _feature_splits(
     the sorted sample `rows`, for all features in one pass. The gain is
     -inf where the node has a single value of the feature.
 
-    `mat` is canonical CSC; `in_node` is an all-false row mask, set for
-    the node and cleared again; `counts` are the node's class counts.
-    Only stored entries are sorted. A feature's rows with no entry form
-    one zero block, which enters the sort as one entry of value 0 that
-    carries the block's class counts: the node's minus those of the
-    feature's entries (Breiman et al. 1984). Candidate thresholds are
+    `mat` is a canonical scipy CSC matrix; `in_node` is an all-false row
+    mask, set for the node and cleared again; `counts` are the node's
+    class counts. Only stored entries are sorted. A feature's rows with
+    no entry form one zero block, which enters the sort as one entry of
+    value 0 that carries the block's class counts: the node's minus those
+    of the feature's entries (Breiman et al. 1984). Candidate thresholds are
     midpoints between consecutive distinct values; ties keep the lowest
     threshold. The class counts on each side of a cut are the integers
     that sorting the feature's dense values over the node gives, and the
@@ -523,15 +533,16 @@ def _feature_splits(
 
 
 def _split_rows(
-    mat: sparse.csc_matrix,
+    mat,
     column: np.ndarray,
     feature: int,
     threshold: float,
     rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """`rows` whose value of `feature` is <= threshold (absent counts as
-    0), and the rest. `column` is an all-zero scratch vector over the rows
-    of `mat`, left that way."""
+    0), and the rest. `mat` is a matrix in CSC layout, read through its
+    `indptr`, `indices` and `data`; `column` is an all-zero scratch vector
+    over its rows, left that way."""
     entries = slice(mat.indptr[feature], mat.indptr[feature + 1])
     column[mat.indices[entries]] = mat.data[entries]
     mask = column[rows] <= threshold
@@ -540,7 +551,7 @@ def _split_rows(
 
 
 def train_decision_tree(
-    X: sparse.csr_matrix,
+    X: CsrArrays,
     y: Sequence[EpidemicClass],
     hyperparams: TreeHyperparams | None = None,
 ) -> TreeModel:
@@ -556,7 +567,7 @@ def train_decision_tree(
     fixes the feature-sampling sequence for a given seed.
     """
     hp = hyperparams or TreeHyperparams()
-    _check_training_input(X, y)
+    X = _training_matrix(X, y)
     class_order, y_idx = _class_setup(y)
     mat = X.tocsc().astype(np.float64, copy=False)
     mat.sum_duplicates()
@@ -604,28 +615,47 @@ def train_decision_tree(
     )
 
 
-def predict(
-    model: LinearModel | TreeModel, X: sparse.csr_matrix
-) -> list[EpidemicClass]:
+def predict(model: LinearModel | TreeModel, X: CsrArrays) -> list[EpidemicClass]:
     """Argmax of class scores (linear) or routed leaf class (tree)."""
     if X.shape[1] != model.dim:
         raise ShapeError(f"feature dimension {X.shape[1]} != model {model.dim}")
     if isinstance(model, TreeModel):
         return _predict_tree(model, X)
-    scores = X @ model.weights + model.bias
-    # np.argmax returns the first maximum: ties break to the lowest
-    # class index by construction.
-    return [model.class_order[i] for i in scores.argmax(axis=1)]
+    return [model.class_order[i] for i in _linear_scores(model, X).argmax(axis=1)]
 
 
-def _predict_tree(model: TreeModel, X: sparse.csr_matrix) -> list[EpidemicClass]:
+def _linear_scores(model: LinearModel, X: CsrArrays) -> np.ndarray:
+    """X W + b, one row per row of X. Each score sums its row's products in
+    stored order from zero, as scipy's CSR product does, so the scores are
+    bit for bit those of `X @ W + b`; np.argmax then breaks ties to the
+    lowest class index."""
+    n = X.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(X.indptr))
+    scores = np.empty((n, len(model.class_order)))
+    for c in range(scores.shape[1]):
+        scores[:, c] = np.bincount(
+            rows, weights=X.data * model.weights[X.indices, c], minlength=n)
+    return scores + model.bias
+
+
+def _predict_tree(model: TreeModel, X: CsrArrays) -> list[EpidemicClass]:
     """Route all rows at once: node by node in id order (children follow
-    their parent), split each node's rows on one CSC column."""
-    mat = X.tocsc()
-    column = np.zeros(mat.shape[0])
-    leaf = np.empty(mat.shape[0], dtype=np.intp)
+    their parent), split each node's rows on one column. The columns are
+    the CSR arrays of X transposed: a stable sort of the column indices
+    keeps each column's entries in row order, the layout of scipy's
+    `tocsc()`."""
+    n = X.shape[0]
+    order = np.argsort(X.indices, kind="stable")
+    mat = CsrArrays(
+        data=X.data[order],
+        indices=np.repeat(np.arange(n), np.diff(X.indptr))[order],
+        indptr=np.concatenate(
+            ([0], np.cumsum(np.bincount(X.indices, minlength=model.dim)))),
+        shape=(model.dim, n))
+    column = np.zeros(n)
+    leaf = np.empty(n, dtype=np.intp)
     arrivals: list[list[np.ndarray]] = [[] for _ in model.nodes]
-    arrivals[0].append(np.arange(mat.shape[0]))
+    arrivals[0].append(np.arange(n))
     for i, node in enumerate(model.nodes):
         parts, arrivals[i] = arrivals[i], []
         rows = np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)

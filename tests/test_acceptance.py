@@ -249,7 +249,7 @@ def _check_tfidf_norms(rng: random.Random) -> float:
         model = fit_tfidf(docs)
         query = " ".join(rng.choice(words + ["oov"]) for _ in range(rng.randint(1, 12)))
         vec = transform(model, [query])
-        if vec.nnz:
+        if len(vec.data):
             worst = max(worst, abs(math.sqrt(sum(v * v for v in vec.data)) - 1.0))
     return worst
 

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from episilver import cli
+from episilver.errors import _same
 from episilver.labeling import EpidemicClass as EC
 from episilver.synth import SynthSpec, write_corpus
 
@@ -224,3 +225,42 @@ def test_mutated_artifact_keeps_exit_code_contract(valid, target):
             if not ok:
                 broken.append((what, code, err[:300], n_warnings))
     assert not broken, broken
+
+
+# values whose dumps collide often: 1, 1.0 and true; 0.0 and -0.0; "1"
+JSON_VALUES = st.recursive(
+    st.sampled_from([0, 1, 0.0, -0.0, 1.0, 0.5, True, False, None, "", "1", "a"]),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from("ab"), inner, max_size=2)),
+    max_leaves=8)
+# scalars equal under == that json.dumps writes apart
+TWINS = ((0, 0.0, -0.0, False), (1, 1.0, True))
+
+
+@st.composite
+def near_twins(draw):
+    """A value, and a copy of it whose scalars may each be swapped for a
+    twin: one equal under == that json.dumps writes apart."""
+    def twin(value):
+        if isinstance(value, dict):
+            return {k: twin(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [twin(v) for v in value]
+        group = next((g for g in TWINS if type(value) is not str and value in g), None)
+        return value if group is None else draw(st.sampled_from(group))
+
+    value = draw(JSON_VALUES)
+    return value, twin(value)
+
+
+@given(near_twins(), JSON_VALUES)
+def test_loader_compares_values_as_their_dumps_do(twins, other):
+    """The loader's check of a file against its re-save tells two values
+    apart exactly when their sorted json.dumps differ: 1, 1.0 and true
+    differ, 0.0 and -0.0 differ, and so do key sets and list lengths."""
+    def dump(value):
+        return json.dumps(value, sort_keys=True)
+
+    a, b = twins
+    for x, y in ((a, b), (a, other)):
+        assert _same(x, y) == (dump(x) == dump(y)), (x, y)

@@ -19,10 +19,13 @@ from episilver.errors import (
     ShapeError,
     StratificationError,
 )
+from episilver.features import CsrArrays
 from episilver.labeling import EpidemicClass as EC
 from episilver.models import (
     LinearHyperparams,
+    LinearModel,
     TreeHyperparams,
+    _linear_scores,
     entropy_bits,
     load_model,
     logistic_hessian_product,
@@ -485,6 +488,39 @@ class TestPredict:
         # an empty row ties every score
         X_query = sparse.vstack([X, csr_rows([[]], 4)], format="csr")
         assert predict(model, X_query) == predict(scaled, X_query)
+
+    @given(st.data())
+    def test_scores_are_the_scipy_product_bit_for_bit(self, data):
+        """The numpy scores over the CSR arrays are the bytes of scipy's
+        X @ W + b, on rows that are empty, hold only stored zeros, or list
+        their columns out of order or twice."""
+        dim = data.draw(st.integers(1, 8))
+        n_classes = data.draw(st.integers(2, 5))
+        value = st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_nan=False))
+        rows = data.draw(st.lists(
+            st.one_of(st.just([]),
+                      st.lists(st.tuples(st.integers(0, dim - 1), st.just(0.0)),
+                               min_size=1, max_size=3),
+                      st.lists(st.tuples(st.integers(0, dim - 1), value),
+                               max_size=2 * dim)),
+            max_size=12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        model = LinearModel(
+            kind="logistic",
+            weights=rng.standard_normal((dim, n_classes))
+            * 10.0 ** rng.integers(-3, 4, (dim, n_classes)),
+            bias=rng.standard_normal(n_classes),
+            class_order=tuple(EC)[:n_classes], hyperparams=LinearHyperparams(),
+            dim=dim)
+        X = csr_rows(rows, dim)
+        expected = np.asarray(X @ model.weights + model.bias)
+        arrays = CsrArrays(X.data, X.indices, X.indptr, X.shape)
+        for given_X in (arrays, X):
+            got = _linear_scores(model, given_X)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+            assert predict(model, given_X) == [
+                model.class_order[c] for c in expected.argmax(axis=1)]
 
 
 class TestPersistence:

@@ -1135,3 +1135,28 @@ def test_front_half_loads_no_numeric_package(tmp_path):
     for name in episilver.__all__:
         assert getattr(episilver, name) is not None, name
     assert set(episilver.__all__) <= set(dir(episilver))
+
+
+def test_scoring_loads_no_scipy(default_run, tmp_path):
+    """`eval` and `report` score a `train` output with numpy alone: only
+    the trainers import scipy."""
+    src = str(Path(episilver.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out, dataset = tmp_path / "train", str(default_run / "dataset.tsv")
+    assert main(["train", "--dataset", dataset, "--out", str(out), "--seed", "99"]) == 0
+    commands = [
+        ["eval", "--dataset", dataset, "--tfidf", str(out / "tfidf.json"),
+         "--model-file", str(out / f"model-{kind}.json"), "--out", str(out)]
+        for kind in pipeline.MODEL_KINDS
+    ] + [
+        ["report", "--report", str(out / f"report-{kind}.json"), "--format", fmt]
+        for kind in pipeline.MODEL_KINDS for fmt in ("tsv", "json", "confusion")
+    ]
+    proc = subprocess.run([sys.executable, "-c", FRONT_HALF, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * len(commands), "loaded": ["numpy"]}, proc.stderr
+    for kind in pipeline.MODEL_KINDS:
+        assert ((out / f"report-{kind}.json").read_bytes()
+                == (default_run / f"report-{kind}.json").read_bytes())

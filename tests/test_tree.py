@@ -1,5 +1,6 @@
 """The entropy tree's sparse split search and batched routing, checked
-against the dense search and the per-row router they replaced.
+against the dense search, the per-row router and the `tocsc()` column
+layout they replaced.
 
 `_column_values`, `_best_threshold` and `reference_tree` are test-only
 copies of the dense implementation: for every node they build the
@@ -18,6 +19,7 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 from scipy import sparse
 
+from episilver.features import CsrArrays
 from episilver.labeling import EpidemicClass as EC
 from episilver.models import (
     GAIN_EPSILON,
@@ -26,6 +28,7 @@ from episilver.models import (
     TreeNode,
     _feature_splits,
     _row_entropy,
+    _split_rows,
     entropy_bits,
     predict,
     save_model,
@@ -262,3 +265,70 @@ def test_batched_routing_matches_per_row_router():
         X = csr_rows(rows, dim)
         assert predict(model, X) == [route_one_row(model, X.getrow(r))
                                      for r in range(X.shape[0])]
+
+
+def tocsc_leaves(model, X):
+    """The leaf node each row of scipy matrix X reaches, routed as `predict`
+    did before it read the CSR arrays: on the columns of `X.tocsc()`."""
+    mat = X.tocsc()
+    column = np.zeros(X.shape[0])
+    leaf = np.empty(X.shape[0], dtype=np.intp)
+    arrivals = [[] for _ in model.nodes]
+    arrivals[0].append(np.arange(X.shape[0]))
+    for i, node in enumerate(model.nodes):
+        rows = np.concatenate(arrivals[i]) if arrivals[i] else np.empty(0, np.intp)
+        if node.is_leaf:
+            leaf[rows] = i
+        elif len(rows):
+            left, right = _split_rows(mat, column, node.feature, node.threshold, rows)
+            arrivals[node.left].append(left)
+            arrivals[node.right].append(right)
+    return leaf.tolist()
+
+
+@st.composite
+def routed(draw):
+    """(tree, scipy CSR matrix): a preorder tree whose leaves have one class
+    each, so a row's class names its leaf, and rows that are empty, hold
+    only stored zeros, sit on a threshold, or list columns out of order or
+    twice."""
+    dim = draw(st.integers(1, 8))
+    internal = draw(st.integers(0, len(EC) - 1))  # so at most len(EC) leaves
+    nodes, leaves = [], []
+
+    def grow():
+        nonlocal internal
+        node_id = len(nodes)
+        nodes.append(None)
+        if not internal or draw(st.booleans()):
+            nodes[node_id] = TreeNode(leaf_class=len(leaves))
+            leaves.append(node_id)
+            return node_id
+        internal -= 1
+        feature, threshold = draw(st.integers(0, dim - 1)), draw(VALUES)
+        left = grow()
+        nodes[node_id] = TreeNode(feature=feature, threshold=threshold,
+                                  left=left, right=grow())
+        return node_id
+
+    grow()
+    model = TreeModel(nodes=tuple(nodes), class_order=tuple(EC)[:len(leaves)],
+                      hyperparams=TreeHyperparams(), dim=dim)
+    rows = draw(st.lists(
+        st.one_of(st.just([]),
+                  st.lists(st.tuples(st.integers(0, dim - 1), st.just(0.0)),
+                           min_size=1, max_size=3),
+                  st.lists(st.tuples(st.integers(0, dim - 1), VALUES),
+                           max_size=2 * dim)),
+        max_size=20))
+    return model, csr_rows(rows, dim)
+
+
+@settings(deadline=None, max_examples=200)
+@given(routed())
+def test_routing_reaches_the_leaf_of_the_tocsc_layout(problem):
+    model, X = problem
+    expected = [model.class_order[model.nodes[i].leaf_class]
+                for i in tocsc_leaves(model, X)]
+    assert predict(model, CsrArrays(X.data, X.indices, X.indptr, X.shape)) == expected
+    assert predict(model, X) == expected
