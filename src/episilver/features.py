@@ -5,6 +5,11 @@ batch of texts into one L2-normalized CSR row each, as the CSR arrays
 (`CsrArrays`) that the trainers and `predict` take as they are.
 Vocabulary order is lexicographic so fitting is order-independent and
 shard-mergeable. This module loads numpy but not scipy.
+
+Rows are built per batch, not per text: each text is tokenized once, and
+one `np.unique` over the batch counts every (text, token) pair; only the
+L2 norm is taken row by row. `pipeline.fit_features` fits the vocabulary
+and builds the training rows from that one tokenization.
 """
 
 from __future__ import annotations
@@ -12,10 +17,11 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from collections import Counter
+from collections import defaultdict
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -36,8 +42,9 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass
 class TfIdfModel:
-    """A fitted vocabulary and the document frequencies of its tokens;
-    `idf` is derived from them, computed once per instance."""
+    """A fitted vocabulary, each token's column being its rank in sorted
+    order, and the document frequencies of its tokens; `idf` is derived
+    from them, computed once per instance."""
 
     vocabulary: dict[str, int]
     doc_freq: np.ndarray
@@ -56,16 +63,59 @@ def fit_tfidf(docs: Iterable[str], masked: Iterable[str] = ()) -> TfIdfModel:
     """Fit vocabulary and idf weights over normalized texts; the ``masked``
     tokens (the rule keywords under ``--mask-keywords``) stay out of the
     vocabulary, so transform ignores them as out-of-vocabulary."""
-    df: Counter[str] = Counter()
-    n_docs = 0
-    for text in docs:
-        n_docs += 1
-        df.update(set(tokenize(text)))
+    return _fit(_tokens(docs), masked)
+
+
+class _Tokens(NamedTuple):
+    """A tokenized batch of texts: its distinct tokens in sorted order, and
+    each (text, token) pair that occurs, as row * len(distinct) + the
+    token's index in distinct, in increasing order, with its count."""
+
+    distinct: list[str]
+    pairs: np.ndarray
+    counts: np.ndarray
+    n_texts: int
+
+
+def _tokens(texts: Iterable[str]) -> _Tokens:
+    """Tokenize each text once and count the pairs in one `np.unique`. Only
+    one text's token list is alive at a time, so the batch keeps no token
+    string but the distinct ones: holding every list at once left the
+    allocator's pools pinned by the vocabulary and raised `run`'s peak RSS."""
+    first_seen: defaultdict[str, int] = defaultdict()
+    first_seen.default_factory = first_seen.__len__  # a new token gets the next index
+    lengths: list[int] = []
+
+    def token_lists():
+        for text in texts:
+            tokens = tokenize(text)
+            lengths.append(len(tokens))
+            yield tokens
+
+    ids = np.fromiter(map(first_seen.__getitem__, chain.from_iterable(token_lists())),
+                      np.int64)
+    distinct = sorted(first_seen)
+    rank = np.empty(len(distinct), np.int64)
+    rank[np.fromiter(map(first_seen.__getitem__, distinct), np.int64,
+                     count=len(distinct))] = np.arange(len(distinct))
+    keys = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    keys *= len(distinct)
+    keys += rank[ids]
+    del ids, rank
+    return _Tokens(distinct, *np.unique(keys, return_counts=True), len(lengths))
+
+
+def _fit(batch: _Tokens, masked: Iterable[str]) -> TfIdfModel:
+    """`fit_tfidf` over a tokenized batch: a token's df is the number of
+    its (text, token) pairs."""
+    n = len(batch.distinct)
+    df = dict(zip(batch.distinct,
+                  np.bincount(batch.pairs % n, minlength=n).tolist()))
     for token in masked:
-        del df[token]
+        df.pop(token, None)
     if not df:
         raise FitError("no usable tokens in the fitted documents")
-    return _tfidf_model(df, n_docs)
+    return _tfidf_model(df, batch.n_texts)
 
 
 def _tfidf_model(df: Mapping[str, int], doc_count: int) -> TfIdfModel:
@@ -94,26 +144,29 @@ def transform(model: TfIdfModel, texts: Iterable[str]) -> CsrArrays:
     zeros and no repeated columns."""
     if isinstance(texts, str):
         raise TypeError("transform takes an iterable of texts, not one str")
-    data: list[float] = []
-    indices: list[int] = []
-    indptr = [0]
-    for text in texts:
-        counts: Counter[int] = Counter()
-        for token in tokenize(text):
-            idx = model.vocabulary.get(token)
-            if idx is not None:
-                counts[idx] += 1
-        if counts:
-            columns = sorted(counts)
-            values = np.array([counts[i] * model.idf[i] for i in columns])
-            values /= np.linalg.norm(values)
-            indices.extend(columns)
-            data.extend(values.tolist())
-        indptr.append(len(indices))
-    return CsrArrays(np.array(data, dtype=np.float64),
-                     np.array(indices, dtype=np.int32),
-                     np.array(indptr, dtype=np.int32),
-                     (len(indptr) - 1, model.dim))
+    return _rows(model, _tokens(texts))
+
+
+def _rows(model: TfIdfModel, batch: _Tokens) -> CsrArrays:
+    """`transform` over a tokenized batch. Columns are ranks in sorted token
+    order, as the batch's indices are, so its in-vocabulary pairs are the
+    CSR entries in order: each count times its column's idf, each row
+    divided by `np.linalg.norm` of its slice."""
+    n = len(batch.distinct)
+    rows, ids = np.divmod(batch.pairs, n)
+    columns = np.fromiter(map(model.vocabulary.get, batch.distinct, repeat(-1)),
+                          np.int64, count=n)[ids]
+    known = columns >= 0
+    rows, columns = rows[known], columns[known]
+    data = batch.counts[known] * model.idf[columns]
+    lengths = np.bincount(rows, minlength=batch.n_texts)
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    bounds = indptr.tolist()
+    norms = [np.linalg.norm(data[start:end])
+             for start, end in zip(bounds, bounds[1:]) if start < end]
+    data /= np.repeat(norms, lengths[lengths > 0])
+    return CsrArrays(data, columns.astype(np.int32), indptr.astype(np.int32),
+                     (batch.n_texts, model.dim))
 
 
 def idf_checksum(model: TfIdfModel) -> str:

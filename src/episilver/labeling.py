@@ -248,16 +248,23 @@ def match_rules(ruleset: Ruleset, text: str) -> tuple[LabelRule, ...]:
     rule, since ``re``'s case folding matches, for example, ``hİv``
     against ``(?i)hiv``. The result is that of searching every rule's
     pattern."""
+    found = _first_matches(ruleset, text)
+    # most texts match no rule; this keeps that case as fast as it was
+    return tuple(rule for rule, _ in found) if found else ()
+
+
+def _first_matches(ruleset: Ruleset, text: str) -> list[tuple[LabelRule, re.Match]]:
+    """The rules of `match_rules`, each with its first match in text."""
     if text.isascii():
         lowered = text.lower()
         candidates = [i for i, key, folded in ruleset.keys
                       if key in (lowered if folded else text)]
         if not candidates:
-            return ()
+            return []
     else:
         candidates = range(len(ruleset.rules))
-    return tuple(ruleset.rules[i] for i in dict.fromkeys(candidates)
-                 if ruleset.compiled[i].search(text))
+    return [(ruleset.rules[i], match) for i in dict.fromkeys(candidates)
+            if (match := ruleset.compiled[i].search(text))]
 
 
 def match_classes(ruleset: Ruleset, text: str) -> set[EpidemicClass]:

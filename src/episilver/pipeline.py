@@ -34,9 +34,9 @@ from .errors import DataError, StratificationError, stage
 from .labeling import (
     EpidemicClass,
     Ruleset,
+    _first_matches,
     label_documents,
     load_ruleset,
-    match_rules,
     write_dataset_tsv,
 )
 
@@ -74,22 +74,30 @@ def fit_features(texts, mask: Ruleset | None, ratio: float, master_seed: int,
     """Fit TF-IDF on the training texts, write tfidf.json with their split
     record into out_dir, and return the model and the training rows. With a
     ruleset (``--mask-keywords``), each rule match in a training text, widened
-    to the word characters on both sides, keeps its tokens out of the vocabulary."""
-    masked: set[str] = set()
-    if mask is not None:
-        patterns = dict(zip(mask.rules, mask.compiled))
-        for text in texts:
-            for rule in match_rules(mask, text):
-                for m in patterns[rule].finditer(text):
-                    # no run of word characters crosses a space
-                    start = _WORD_BEFORE.search(
-                        text, text.rfind(" ", 0, m.start()) + 1, m.start()).start()
-                    end = _WORD_AFTER.match(text, m.end()).end()
-                    masked.update(features.tokenize(text[start:end]))
-    tfidf = features.fit_tfidf(texts, masked)
+    to the word characters on both sides, keeps its tokens out of the
+    vocabulary. Each text is tokenized once, for the fit and its row."""
+    batch = features._tokens(texts)
+    tfidf = features._fit(batch, () if mask is None else _masked_tokens(texts, mask))
     features.save_tfidf(tfidf, out_dir / "tfidf.json",
                         features.split_record(texts, ratio, master_seed))
-    return tfidf, features.transform(tfidf, texts)
+    return tfidf, features._rows(tfidf, batch)
+
+
+def _masked_tokens(texts, mask: Ruleset) -> set[str]:
+    """The tokens of every rule match in the texts, each match widened to
+    the word characters on both sides."""
+    masked: set[str] = set()
+    for text in texts:
+        for _, first in _first_matches(mask, text):
+            # a search from the first match still sees the text before it
+            # (`^`, lookbehind, `\b`), so it finds the matches finditer does
+            for m in first.re.finditer(text, first.start()):
+                # no run of word characters crosses a space
+                start = _WORD_BEFORE.search(
+                    text, text.rfind(" ", 0, m.start()) + 1, m.start()).start()
+                end = _WORD_AFTER.match(text, m.end()).end()
+                masked.update(features.tokenize(text[start:end]))
+    return masked
 
 
 def train_model(kind: str, X_train, y_train, master_seed: int,
@@ -151,6 +159,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     with _timed("label", timings):
         dataset, label_stats = label_documents(
             docs, ruleset, config.included_classes, config.policy, seeds["negatives"])
+    del docs  # the dataset keeps the texts it needs; free the rest before training
     with _timed("balance", timings):
         write_dataset_tsv(dataset, out_dir / "dataset.tsv")
     with stage("split"):

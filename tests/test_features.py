@@ -2,14 +2,17 @@ import contextlib
 import io
 import json
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from episilver import cli
+from episilver import cli, labeling, pipeline
 from episilver.errors import DataError, FitError
 from episilver.features import (
+    TfIdfModel,
     fit_tfidf,
     idf_checksum,
     load_tfidf,
@@ -172,6 +175,73 @@ class TestTransformRows:
             assert np.array_equal(batch.data[entries], one.data)
 
 
+def reference_transform(model: TfIdfModel, texts):
+    """transform as one loop per row and per token: counts x idf in
+    increasing column order, divided by `np.linalg.norm` of the row."""
+    data, indices, indptr = [], [], [0]
+    for text in texts:
+        counts = Counter()
+        for token in tokenize(text):
+            idx = model.vocabulary.get(token)
+            if idx is not None:
+                counts[idx] += 1
+        if counts:
+            columns = sorted(counts)
+            values = np.array([counts[i] * model.idf[i] for i in columns])
+            values /= np.linalg.norm(values)
+            indices.extend(columns)
+            data.extend(values.tolist())
+        indptr.append(len(indices))
+    return (np.array(data, dtype=np.float64), np.array(indices, dtype=np.int32),
+            np.array(indptr, dtype=np.int32), (len(indptr) - 1, model.dim))
+
+
+def assert_same_arrays(got, want):
+    """Equal shapes, and arrays of equal dtypes and equal bytes."""
+    assert got.shape == want[3]
+    for a, b in zip(got[:3], want[:3]):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+# Words over letters whose case, length or word-ness trips a tokenizer:
+# 'İ' lowercases to two characters, '_' and digits are word characters,
+# '-' and '.' split words.
+_WORD = st.text(alphabet="abcAB_1éİ", min_size=1, max_size=4)
+_SEPARATOR = st.sampled_from([" ", "  ", "-", ".", "\n"])
+
+
+def _texts_of(words):
+    return st.lists(st.tuples(words, _SEPARATOR), max_size=12).map(
+        lambda pieces: "".join(w + sep for w, sep in pieces))
+
+
+class TestBatchedRows:
+    """transform builds a batch's rows with one count over the batch; it
+    gives the bytes of the per-row loop it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(docs=st.lists(_texts_of(_WORD), min_size=1, max_size=6),
+           texts=st.lists(st.one_of(
+               _texts_of(_WORD),
+               _texts_of(st.sampled_from(["zz", "QQ", "x"])),  # no vocabulary token
+               _texts_of(_WORD).map(lambda t: t * 3),  # repeated tokens
+               st.just("")), max_size=8),
+           as_generator=st.booleans())
+    def test_equals_the_per_row_loop(self, docs, texts, as_generator):
+        assume(any(tokenize(doc) for doc in docs))
+        model = fit_tfidf(docs)
+        got = transform(model, iter(texts) if as_generator else texts)
+        assert_same_arrays(got, reference_transform(model, texts))
+
+    def test_empty_batch(self):
+        model = fit_tfidf(["flu cold"])
+        for texts in ([], iter([])):
+            X = transform(model, texts)
+            assert X.shape == (0, 2) and X.indptr.tolist() == [0]
+            assert_same_arrays(X, reference_transform(model, []))
+
+
 SPLIT = {"ratio": 0.75, "seed": 0, "train_sha256": "0" * 64}
 
 
@@ -270,3 +340,70 @@ def test_eval_rejects_a_tfidf_file_that_saving_does_not_give_back(
     assert record["error"] == "DataError"
     assert record["message"].startswith(f"{path}: malformed feature model file")
     assert f"{key} not as saving it again gives" in record["message"]
+
+
+@pytest.mark.parametrize("mask", [False, True], ids=["unmasked", "masked"])
+def test_fit_features_rows_are_transform_rows(trained, tmp_path, mask):
+    """The rows fit_features builds from its one tokenization are the bytes
+    transform gives for the same texts."""
+    texts = [ex.text for ex in labeling.read_dataset_tsv(trained / "dataset.tsv")]
+    tfidf, X = pipeline.fit_features(
+        texts, labeling.default_ruleset() if mask else None, 0.75, 0, tmp_path)
+    assert ("cholera" in tfidf.vocabulary) is not mask
+    assert_same_arrays(X, transform(tfidf, texts))
+
+
+_WORD_BEFORE, _WORD_AFTER = re.compile(r"\w*\Z"), re.compile(r"\w*")
+
+
+def two_search_masked(texts, ruleset):
+    """The mask pass as match_rules, then finditer from the start of the
+    text for each rule it reports."""
+    masked = set()
+    patterns = dict(zip(ruleset.rules, ruleset.compiled))
+    for text in texts:
+        for rule in labeling.match_rules(ruleset, text):
+            for m in patterns[rule].finditer(text):
+                start = _WORD_BEFORE.search(
+                    text, text.rfind(" ", 0, m.start()) + 1, m.start()).start()
+                end = _WORD_AFTER.match(text, m.end()).end()
+                masked.update(tokenize(text[start:end]))
+    return masked
+
+
+# Anchors, a lookbehind, a lookahead, a bare `\b`, rules that match the
+# empty string and the case-sensitive AIDS form, in rule-file lines; a
+# ruleset is any nonempty subset of them, so that no rule that matches
+# everywhere hides what the others mask.
+_CUSTOM_RULE_LINES = [
+    "cholera\t0\t0\t^cholera",
+    "ebola\t0\t1\t(?<=#)ebola\\w*",
+    "flu\t0\t2\t(?m)^flu|flu(?=\\s*$)",
+    "mers\t0\t3\t\\b",
+    "sars\t0\t4\t(?:sars)*",
+    "hiv_aids\t1\t5\t\\bAIDS\\b|#AIDS\\b",
+    "swine_flu\t0\t6\t\\bswine\\s+flu\\b",
+    "influenza\t0\t7\t(?<![a-z])flu(?=[a-z])",
+]
+_RULESETS = st.one_of(
+    st.just(labeling.default_ruleset()),
+    st.sets(st.sampled_from(_CUSTOM_RULE_LINES), min_size=1, max_size=3).map(
+        lambda lines: labeling.parse_ruleset_text("\n".join(sorted(lines)))),
+)
+_MASK_TEXTS = st.lists(st.sampled_from(
+    ["cholera", "Cholera", "ebola", "#ebola", "ebolavirus", "flu", "FLU", "swine",
+     "AIDS", "aids", "Aids", "#AIDS", "sars", "sarssars", "mers", "yellow", "fever",
+     "ab", "x", "é", "İ", " ", "  ", "\n", "#", "-", "_"]),
+    max_size=14).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(_MASK_TEXTS, max_size=6), ruleset=_RULESETS)
+@example(texts=["a #ebola", "x\nflu #ebolavirus"],
+         ruleset=labeling.parse_ruleset_text("\n".join(_CUSTOM_RULE_LINES[1:3])))
+@example(texts=["Aids AIDS", "xfluab fluab"],
+         ruleset=labeling.parse_ruleset_text("\n".join(_CUSTOM_RULE_LINES[5::2])))
+def test_mask_pass_masks_what_two_searches_mask(texts, ruleset):
+    """The mask pass searches each rule on from its first match; the tokens
+    it masks are those of a second search from the start of the text."""
+    assert pipeline._masked_tokens(texts, ruleset) == two_search_masked(texts, ruleset)
