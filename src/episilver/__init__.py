@@ -33,11 +33,10 @@ _EXPORTS = {
         "load_ruleset", "match_classes", "sample_negatives",
     ),
     "models": (
-        "DatasetSplit", "LinearModel", "TreeModel", "predict",
-        "stratified_split", "train_decision_tree", "train_linear_svm",
-        "train_logistic",
+        "LinearModel", "TreeModel", "predict", "train_decision_tree",
+        "train_linear_svm", "train_logistic",
     ),
-    "pipeline": ("RunResult", "run_pipeline"),
+    "pipeline": ("RunResult", "run_pipeline", "split_dataset"),
     "synth": ("SynthSpec", "synth_corpus"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -8,8 +8,8 @@ shard-mergeable. This module loads numpy but not scipy.
 
 Rows are built per batch, not per text: each text is tokenized once, and
 one `np.unique` over the batch counts every (text, token) pair; only the
-L2 norm is taken row by row. `pipeline.fit_features` fits the vocabulary
-and builds the training rows from that one tokenization.
+L2 norm is taken row by row. `fit_transform` fits the vocabulary and
+builds the training rows from that one tokenization.
 """
 
 from __future__ import annotations
@@ -145,6 +145,15 @@ def transform(model: TfIdfModel, texts: Iterable[str]) -> CsrArrays:
     if isinstance(texts, str):
         raise TypeError("transform takes an iterable of texts, not one str")
     return _rows(model, _tokens(texts))
+
+
+def fit_transform(texts: Iterable[str],
+                  masked: Iterable[str] = ()) -> tuple[TfIdfModel, CsrArrays]:
+    """`fit_tfidf` of the texts and their `transform` rows, from one
+    tokenization of each text."""
+    batch = _tokens(texts)
+    model = _fit(batch, masked)
+    return model, _rows(model, batch)
 
 
 def _rows(model: TfIdfModel, batch: _Tokens) -> CsrArrays:

@@ -267,6 +267,26 @@ def _first_matches(ruleset: Ruleset, text: str) -> list[tuple[LabelRule, re.Matc
             if (match := ruleset.compiled[i].search(text))]
 
 
+_WORD_BEFORE, _WORD_AFTER = re.compile(r"\w*\Z"), re.compile(r"\w*")
+
+
+def matched_words(ruleset: Ruleset, texts: Iterable[str]) -> set[str]:
+    """Every match of every rule in the texts, widened to the word
+    characters on both sides: what ``--mask-keywords`` keeps out of the
+    vocabulary."""
+    words: set[str] = set()
+    for text in texts:
+        for _, first in _first_matches(ruleset, text):
+            # a search from the first match still sees the text before it
+            # (`^`, lookbehind, `\b`), so it finds the matches finditer does
+            for m in first.re.finditer(text, first.start()):
+                # no run of word characters crosses a space
+                start = _WORD_BEFORE.search(
+                    text, text.rfind(" ", 0, m.start()) + 1, m.start()).start()
+                words.add(text[start:_WORD_AFTER.match(text, m.end()).end()])
+    return words
+
+
 def match_classes(ruleset: Ruleset, text: str) -> set[EpidemicClass]:
     """Every epidemic class whose rule matches anywhere in text."""
     return {rule.target for rule in match_rules(ruleset, text)}

@@ -1,5 +1,5 @@
 """Classifiers over the CSR arrays that `features.transform` returns,
-taken as they are, plus stratified splitting.
+taken as they are.
 
 All three trainers are deterministic. The linear models start from zero
 and take truncated Newton steps (`_newton`): conjugate gradient on
@@ -43,12 +43,10 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DataError,
     DegenerateLabelsError,
     DivergenceError,
     ShapeError,
-    StratificationError,
     read_document,
 )
 from .features import CsrArrays
@@ -58,41 +56,6 @@ ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 80
 MAX_CG_STEPS = 100  # Hessian-vector products per Newton step, at most
 GAIN_EPSILON = 1e-12
-
-
-@dataclass(frozen=True)
-class DatasetSplit:
-    train: tuple[int, ...]
-    validation: tuple[int, ...]
-
-
-def stratified_split(
-    labels: Sequence[EpidemicClass], ratio: float, seed: int
-) -> DatasetSplit:
-    """Per-class shuffle with the seed; first ceil(ratio * n_c) to train.
-
-    Keeps every class's train fraction within one sample of the ratio.
-    """
-    if not 0.0 < ratio < 1.0:
-        raise ConfigError(f"split ratio {ratio} outside (0, 1)")
-    by_class: dict[EpidemicClass, list[int]] = {}
-    for i, label in enumerate(labels):
-        by_class.setdefault(label, []).append(i)
-    for cls, members in by_class.items():
-        if len(members) < 2:
-            raise StratificationError(
-                f"class {cls.label} has {len(members)} member(s); need at least 2"
-            )
-    rng = random.Random(seed)
-    train: list[int] = []
-    validation: list[int] = []
-    for cls in sorted(by_class):
-        members = list(by_class[cls])
-        rng.shuffle(members)
-        n_train = math.ceil(ratio * len(members))
-        train.extend(members[:n_train])
-        validation.extend(members[n_train:])
-    return DatasetSplit(tuple(sorted(train)), tuple(sorted(validation)))
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -643,14 +606,21 @@ def _predict_tree(model: TreeModel, X: CsrArrays) -> list[EpidemicClass]:
     their parent), split each node's rows on one column. The columns are
     the CSR arrays of X transposed: a stable sort of the column indices
     keeps each column's entries in row order, the layout of scipy's
-    `tocsc()`."""
+    `tocsc()`. Repeats of a (row, column) entry end up adjacent and are
+    summed, as the trainer's `sum_duplicates` sums them."""
     n = X.shape[0]
     order = np.argsort(X.indices, kind="stable")
+    rows, columns, data = (np.repeat(np.arange(n), np.diff(X.indptr))[order],
+                           X.indices[order], X.data[order])
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]) | (columns[1:] != columns[:-1])
+    if not new.all():  # bincount adds each run's values in stored order
+        data = np.bincount(np.cumsum(new) - 1, weights=data)
+        rows, columns = rows[new], columns[new]
     mat = CsrArrays(
-        data=X.data[order],
-        indices=np.repeat(np.arange(n), np.diff(X.indptr))[order],
+        data=data, indices=rows,
         indptr=np.concatenate(
-            ([0], np.cumsum(np.bincount(X.indices, minlength=model.dim)))),
+            ([0], np.cumsum(np.bincount(columns, minlength=model.dim)))),
         shape=(model.dim, n))
     column = np.zeros(n)
     leaf = np.empty(n, dtype=np.intp)

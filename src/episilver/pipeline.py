@@ -7,40 +7,32 @@ the manifest less its timings, are byte-identical for one configuration.
 
 The back half has one implementation per stage (`split_dataset`,
 `fit_features`, `train_model`, `evaluate`); `run_pipeline` and the
-`train` and `eval` subcommands call only these.
+`train` and `eval` subcommands call only these, and these call only the
+public functions of `labeling`, `features` and `models`.
 """
 
 from __future__ import annotations
 
 import json
-import re
+import math
+import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import evaluation, features, models
-# Defined in the stdlib-only config module, so that commands which never
-# train can use them without loading numpy; re-exported here.
-from .config import (  # noqa: F401
-    DEFAULT_CLASSES,
-    MODEL_KINDS,
-    PipelineConfig,
-    config_hash,
-    derive_seed,
-)
+from .config import PipelineConfig, config_hash, derive_seed
 from .corpus import ingest_files
-from .errors import DataError, StratificationError, stage
+from .errors import ConfigError, DataError, StratificationError, stage
 from .labeling import (
     EpidemicClass,
     Ruleset,
-    _first_matches,
     label_documents,
     load_ruleset,
+    matched_words,
     write_dataset_tsv,
 )
-
-_WORD_BEFORE, _WORD_AFTER = re.compile(r"\w*\Z"), re.compile(r"\w*")
 
 
 @dataclass
@@ -55,49 +47,50 @@ class RunResult:
 
 
 def split_dataset(examples, ratio: float, master_seed: int):
-    """Split examples by class with the seed derived from the master seed;
-    returns the train examples and the validation examples. Every class
-    has a member in training, so a model's class order is the dataset's."""
+    """Split examples by class; returns the train examples and the
+    validation examples, each in dataset order. A generator seeded from
+    the master seed shuffles each class's members in turn, classes in
+    sorted order, and the first ceil(ratio * n_c) go to training: every
+    class's train fraction is within one example of the ratio, and every
+    class has a member in training, so a model's class order is the
+    dataset's."""
     if not examples:
         raise DataError("empty dataset")
-    split = models.stratified_split(
-        [ex.label for ex in examples], ratio, derive_seed(master_seed, "split"))
-    if not split.validation:
+    if not 0.0 < ratio < 1.0:
+        raise ConfigError(f"split ratio {ratio} outside (0, 1)")
+    by_class: dict[EpidemicClass, list[int]] = {}
+    for i, ex in enumerate(examples):
+        by_class.setdefault(ex.label, []).append(i)
+    for cls, members in by_class.items():
+        if len(members) < 2:
+            raise StratificationError(
+                f"class {cls.label} has {len(members)} member(s); need at least 2")
+    rng = random.Random(derive_seed(master_seed, "split"))
+    in_train = [False] * len(examples)
+    for cls in sorted(by_class):
+        members = by_class[cls]
+        rng.shuffle(members)
+        for i in members[:math.ceil(ratio * len(members))]:
+            in_train[i] = True
+    if all(in_train):
         raise StratificationError(f"split ratio {ratio} leaves no validation "
                                   f"example of {len(examples)}")
-    return ([examples[i] for i in split.train],
-            [examples[i] for i in split.validation])
+    return ([ex for ex, t in zip(examples, in_train) if t],
+            [ex for ex, t in zip(examples, in_train) if not t])
 
 
 def fit_features(texts, mask: Ruleset | None, ratio: float, master_seed: int,
                  out_dir: Path):
     """Fit TF-IDF on the training texts, write tfidf.json with their split
     record into out_dir, and return the model and the training rows. With a
-    ruleset (``--mask-keywords``), each rule match in a training text, widened
-    to the word characters on both sides, keeps its tokens out of the
-    vocabulary. Each text is tokenized once, for the fit and its row."""
-    batch = features._tokens(texts)
-    tfidf = features._fit(batch, () if mask is None else _masked_tokens(texts, mask))
+    ruleset (``--mask-keywords``), the tokens of its `matched_words` in the
+    training texts stay out of the vocabulary."""
+    masked = () if mask is None else {
+        token for word in matched_words(mask, texts) for token in features.tokenize(word)}
+    tfidf, X_train = features.fit_transform(texts, masked)
     features.save_tfidf(tfidf, out_dir / "tfidf.json",
                         features.split_record(texts, ratio, master_seed))
-    return tfidf, features._rows(tfidf, batch)
-
-
-def _masked_tokens(texts, mask: Ruleset) -> set[str]:
-    """The tokens of every rule match in the texts, each match widened to
-    the word characters on both sides."""
-    masked: set[str] = set()
-    for text in texts:
-        for _, first in _first_matches(mask, text):
-            # a search from the first match still sees the text before it
-            # (`^`, lookbehind, `\b`), so it finds the matches finditer does
-            for m in first.re.finditer(text, first.start()):
-                # no run of word characters crosses a space
-                start = _WORD_BEFORE.search(
-                    text, text.rfind(" ", 0, m.start()) + 1, m.start()).start()
-                end = _WORD_AFTER.match(text, m.end()).end()
-                masked.update(features.tokenize(text[start:end]))
-    return masked
+    return tfidf, X_train
 
 
 def train_model(kind: str, X_train, y_train, master_seed: int,

@@ -84,6 +84,17 @@ REFERENCE_ACCURACY = {
 # logistic 0.7314 <= 0.9578 <= 0.9996).
 INCONSISTENT_PR_MODELS = ("decision_tree",)
 
+# Models whose published accuracy, weighted F1 and per-class columns fit
+# no class supports. Scored on one split, a model's rows must meet, for
+# one vector of class shares s (s >= 0, sum s = 1): accuracy = sum s_c R_c,
+# weighted F1 = sum s_c F1_c, and sum s_c R_c / P_c = 1 (each row gets one
+# predicted class). Rounding to 4 decimals moves each identity by at most
+# about 1.4e-4. bert: any two of its identities hold within 2e-4, all
+# three only within 3e-3 (not 2e-3). logistic, svm and bertweet meet all
+# three within 2e-4 with one shared s; decision_tree meets them within no
+# slack up to 0.1.
+INCONSISTENT_SUPPORT_MODELS = ("bert",)
+
 # Spot anchors: (model, class, precision, recall, expected f1).
 SPOT_ANCHORS = (
     ("logistic", "cholera", 0.9914, 0.972, 0.9816),

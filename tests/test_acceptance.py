@@ -48,6 +48,7 @@ from helpers import adversarial_strings, brute_match_classes, csr_rows
 from reference_scores import (
     CLASSES,
     INCONSISTENT_PR_MODELS,
+    INCONSISTENT_SUPPORT_MODELS,
     MODELS,
     REFERENCE_ACCURACY,
     REFERENCE_SCORES,
@@ -106,6 +107,55 @@ def test_criterion_1_f1_identity_all_25_rows():
         detail += "; bound check wrong: " + "; ".join(bound_faults)
     record("1 (all 25 rows)",
            bad.keys() == recorded and not bound_faults and elapsed < 1.0, detail)
+
+
+SHARE_SLACK = 2e-4  # per identity; rounding moves each by at most about 1.4e-4
+
+
+def share_lp(models, slack, objective=None, non_epidemic=None):
+    """`scipy.optimize.linprog` over class shares s >= 0 with sum s = 1, in
+    CLASSES order, under the identities of every model in models: accuracy
+    = sum s_c R_c, weighted F1 = sum s_c F1_c and sum s_c R_c / P_c = 1,
+    each within slack. non_epidemic, if given, fixes that class's share."""
+    from scipy.optimize import linprog
+
+    rows, bounds = [], []
+    for model in models:
+        p, r, f1 = (np.array([REFERENCE_SCORES[model][cls][k] for cls in CLASSES])
+                    for k in range(3))
+        for row, target in ((r, REFERENCE_ACCURACY[model]),
+                            (f1, REFERENCE_WEIGHTED_F1[model]), (r / p, 1.0)):
+            rows += [row, -row]
+            bounds += [target + slack, slack - target]
+    shares = [(0.0, None)] * len(CLASSES)
+    if non_epidemic is not None:
+        shares[CLASSES.index("non_epidemic")] = (non_epidemic, non_epidemic)
+    return linprog(np.zeros(len(CLASSES)) if objective is None else objective,
+                   A_ub=np.array(rows), b_ub=np.array(bounds),
+                   A_eq=np.ones((1, len(CLASSES))), b_eq=[1.0], bounds=shares,
+                   method="highs")
+
+
+def test_criterion_1_class_shares_of_all_models():
+    """Scored on one validation split, every model's published accuracy,
+    weighted F1 and per-class columns fit one vector of class shares. The
+    models that fit none are exactly the recorded ones; the rest share one,
+    with the non_epidemic half that the balanced dataset gives."""
+    def feasible(models, slack=SHARE_SLACK, **kwargs):
+        return share_lp(models, slack, **kwargs).success
+
+    recorded = set(INCONSISTENT_PR_MODELS) | set(INCONSISTENT_SUPPORT_MODELS)
+    faults = [f"{model}: fits class shares {model in recorded}, recorded {model in recorded}"
+              for model in MODELS if feasible([model]) == (model in recorded)]
+    consistent = [model for model in MODELS if model not in recorded]
+    if not feasible(consistent, non_epidemic=0.5):
+        faults.append(f"{consistent} share no class shares with non_epidemic 0.5")
+    if feasible(INCONSISTENT_SUPPORT_MODELS, 2e-3) or not feasible(
+            INCONSISTENT_SUPPORT_MODELS, 3e-3):
+        faults.append(f"{INCONSISTENT_SUPPORT_MODELS} fit at another slack than 3e-3")
+    if feasible(INCONSISTENT_PR_MODELS, 0.1):
+        faults.append(f"{INCONSISTENT_PR_MODELS} fit class shares at slack 0.1")
+    record("1 (class shares)", not faults, "; ".join(faults))
 
 
 # --------------------------------------------------------------------------

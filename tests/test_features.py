@@ -356,10 +356,10 @@ def test_fit_features_rows_are_transform_rows(trained, tmp_path, mask):
 _WORD_BEFORE, _WORD_AFTER = re.compile(r"\w*\Z"), re.compile(r"\w*")
 
 
-def two_search_masked(texts, ruleset):
+def two_search_words(texts, ruleset):
     """The mask pass as match_rules, then finditer from the start of the
     text for each rule it reports."""
-    masked = set()
+    words = set()
     patterns = dict(zip(ruleset.rules, ruleset.compiled))
     for text in texts:
         for rule in labeling.match_rules(ruleset, text):
@@ -367,8 +367,8 @@ def two_search_masked(texts, ruleset):
                 start = _WORD_BEFORE.search(
                     text, text.rfind(" ", 0, m.start()) + 1, m.start()).start()
                 end = _WORD_AFTER.match(text, m.end()).end()
-                masked.update(tokenize(text[start:end]))
-    return masked
+                words.add(text[start:end])
+    return words
 
 
 # Anchors, a lookbehind, a lookahead, a bare `\b`, rules that match the
@@ -404,6 +404,7 @@ _MASK_TEXTS = st.lists(st.sampled_from(
 @example(texts=["Aids AIDS", "xfluab fluab"],
          ruleset=labeling.parse_ruleset_text("\n".join(_CUSTOM_RULE_LINES[5::2])))
 def test_mask_pass_masks_what_two_searches_mask(texts, ruleset):
-    """The mask pass searches each rule on from its first match; the tokens
-    it masks are those of a second search from the start of the text."""
-    assert pipeline._masked_tokens(texts, ruleset) == two_search_masked(texts, ruleset)
+    """The mask pass searches each rule on from its first match; the words
+    it finds, and so the tokens it masks, are those of a second search from
+    the start of the text."""
+    assert labeling.matched_words(ruleset, texts) == two_search_words(texts, ruleset)

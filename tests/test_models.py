@@ -21,6 +21,7 @@ from episilver.errors import (
 )
 from episilver.features import CsrArrays
 from episilver.labeling import EpidemicClass as EC
+from episilver.labeling import LabeledExample
 from episilver.models import (
     LinearHyperparams,
     LinearModel,
@@ -35,11 +36,11 @@ from episilver.models import (
     softmax,
     squared_hinge_hessian_product,
     squared_hinge_loss_grad,
-    stratified_split,
     train_decision_tree,
     train_linear_svm,
     train_logistic,
 )
+from episilver.pipeline import split_dataset
 from helpers import csr_rows
 
 
@@ -58,26 +59,48 @@ def random_sparse(rng, n, dim):
     return csr_rows(rows, dim)
 
 
+def split_indices(labels, ratio, seed):
+    """The dataset indices of split_dataset's train and validation sides."""
+    examples = [LabeledExample(str(i), f"text {i}", label) for i, label in enumerate(labels)]
+    train, validation = split_dataset(examples, ratio, seed)
+    return [int(ex.id) for ex in train], [int(ex.id) for ex in validation]
+
+
 class TestStratifiedSplit:
+    """`pipeline.split_dataset`, the split that the models train and are
+    scored on."""
+
     def test_per_class_fractions(self):
         labels = [EC.CHOLERA] * 100 + [EC.EBOLA] * 20
-        split = stratified_split(labels, 0.75, seed=1)
-        train_labels = [labels[i] for i in split.train]
+        train, validation = split_indices(labels, 0.75, seed=1)
+        train_labels = [labels[i] for i in train]
         assert train_labels.count(EC.CHOLERA) == 75
         assert train_labels.count(EC.EBOLA) == 15
-        assert sorted(split.train + split.validation) == list(range(120))
+        assert sorted(train + validation) == list(range(120))
 
     def test_deterministic(self):
         labels = [EC.MERS] * 9 + [EC.NON_EPIDEMIC] * 11
-        assert stratified_split(labels, 0.6, 7) == stratified_split(labels, 0.6, 7)
+        assert split_indices(labels, 0.6, 7) == split_indices(labels, 0.6, 7)
 
     def test_single_member_class_rejected(self):
         with pytest.raises(StratificationError):
-            stratified_split([EC.MERS, EC.EBOLA, EC.EBOLA], 0.75, 0)
+            split_indices([EC.MERS, EC.EBOLA, EC.EBOLA], 0.75, 0)
 
     def test_bad_ratio(self):
         with pytest.raises(ConfigError):
-            stratified_split([EC.MERS] * 4, 1.0, 0)
+            split_indices([EC.MERS] * 4, 1.0, 0)
+
+    def test_errors_in_order(self):
+        """Empty dataset, then the ratio, then a class too small to split,
+        then an empty validation side."""
+        with pytest.raises(DataError, match="empty dataset"):
+            split_indices([], 2.0, 0)
+        with pytest.raises(ConfigError):
+            split_indices([EC.MERS], 0.0, 0)
+        with pytest.raises(StratificationError, match="class mers has 1 member"):
+            split_indices([EC.MERS, EC.EBOLA, EC.EBOLA], 0.75, 0)
+        with pytest.raises(StratificationError, match="leaves no validation"):
+            split_indices([EC.MERS, EC.MERS, EC.EBOLA, EC.EBOLA], 0.75, 0)
 
     @given(
         st.lists(st.sampled_from([EC.CHOLERA, EC.EBOLA, EC.NON_EPIDEMIC]),
@@ -88,11 +111,14 @@ class TestStratifiedSplit:
     def test_invariants(self, labels, ratio, seed):
         counts = {c: labels.count(c) for c in set(labels)}
         assume(all(n >= 2 for n in counts.values()))
-        split = stratified_split(labels, ratio, seed)
-        assert set(split.train) & set(split.validation) == set()
-        assert sorted(split.train + split.validation) == list(range(len(labels)))
+        # split_dataset refuses a split that leaves no validation example
+        assume(any(math.ceil(ratio * n) < n for n in counts.values()))
+        train, validation = split_indices(labels, ratio, seed)
+        assert train == sorted(train) and validation == sorted(validation)
+        assert set(train) & set(validation) == set()
+        assert sorted(train + validation) == list(range(len(labels)))
         for cls, n in counts.items():
-            got = sum(1 for i in split.train if labels[i] is cls)
+            got = sum(1 for i in train if labels[i] is cls)
             assert abs(got - ratio * n) < 1.0
 
 
@@ -258,9 +284,15 @@ class TestLogistic:
         with pytest.raises(DegenerateLabelsError):
             train_logistic(TOY_X, [EC.MERS, EC.MERS])
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(DataError):
-            train_logistic(csr_rows([], 1), [])
+
+@pytest.mark.parametrize("train", [train_logistic, train_linear_svm, train_decision_tree],
+                         ids=["logistic", "svm", "tree"])
+@pytest.mark.parametrize("X, y", [(csr_rows([], 1), []),
+                                  (csr_rows([unit(0), unit(0), []], 1), [EC.MERS, EC.FLU])],
+                         ids=["empty", "more-rows-than-labels"])
+def test_bad_training_input_rejected(train, X, y):
+    with pytest.raises(DataError):
+        train(X, y)
 
 
 class TestLinearSvm:

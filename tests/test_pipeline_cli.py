@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 import episilver
 from episilver import cli, features, labeling, models, pipeline
 from episilver.cli import main
+from episilver.config import MODEL_KINDS
 from episilver.corpus import ingest_files
 from episilver.errors import ConfigError, DataError
 from episilver.labeling import EpidemicClass as EC
@@ -1147,16 +1148,16 @@ def test_scoring_loads_no_scipy(default_run, tmp_path):
     commands = [
         ["eval", "--dataset", dataset, "--tfidf", str(out / "tfidf.json"),
          "--model-file", str(out / f"model-{kind}.json"), "--out", str(out)]
-        for kind in pipeline.MODEL_KINDS
+        for kind in MODEL_KINDS
     ] + [
         ["report", "--report", str(out / f"report-{kind}.json"), "--format", fmt]
-        for kind in pipeline.MODEL_KINDS for fmt in ("tsv", "json", "confusion")
+        for kind in MODEL_KINDS for fmt in ("tsv", "json", "confusion")
     ]
     proc = subprocess.run([sys.executable, "-c", FRONT_HALF, json.dumps(commands)],
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"codes": [0] * len(commands), "loaded": ["numpy"]}, proc.stderr
-    for kind in pipeline.MODEL_KINDS:
+    for kind in MODEL_KINDS:
         assert ((out / f"report-{kind}.json").read_bytes()
                 == (default_run / f"report-{kind}.json").read_bytes())

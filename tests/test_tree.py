@@ -268,9 +268,11 @@ def test_batched_routing_matches_per_row_router():
 
 
 def tocsc_leaves(model, X):
-    """The leaf node each row of scipy matrix X reaches, routed as `predict`
-    did before it read the CSR arrays: on the columns of `X.tocsc()`."""
+    """The leaf node each row of scipy matrix X reaches, routed on the
+    columns of `X.tocsc()` with repeated entries summed, as the trainer
+    reads them."""
     mat = X.tocsc()
+    mat.sum_duplicates()
     column = np.zeros(X.shape[0])
     leaf = np.empty(X.shape[0], dtype=np.intp)
     arrivals = [[] for _ in model.nodes]
@@ -332,3 +334,15 @@ def test_routing_reaches_the_leaf_of_the_tocsc_layout(problem):
                 for i in tocsc_leaves(model, X)]
     assert predict(model, CsrArrays(X.data, X.indices, X.indptr, X.shape)) == expected
     assert predict(model, X) == expected
+
+
+def test_predict_sums_a_repeated_entry_as_training_does():
+    """Row 0 stores column 0 twice, 0.3 and 0.4: the trainer reads 0.7 and
+    splits at 0.55, so the tree must route the row by 0.7, not by 0.4."""
+    X = sparse.csr_matrix((np.array([0.3, 0.4, 0.4]), np.array([0, 0, 0]),
+                           np.array([0, 2, 3])), shape=(2, 1))
+    y = [EC.CHOLERA, EC.EBOLA]
+    model = train_decision_tree(X, y)
+    assert model.nodes[0].threshold == 0.55
+    assert predict(model, X) == y
+    assert predict(model, CsrArrays(X.data, X.indices, X.indptr, X.shape)) == y
