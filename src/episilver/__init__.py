@@ -8,7 +8,7 @@ weighted F1, accuracy and confusion matrices.
 The exports below load their module on first access (PEP 562), so
 ``import episilver`` loads no numeric package; numpy comes in with the
 first name from ``evaluation``, ``features``, ``models`` or
-``pipeline``, and scipy only when a trainer runs.
+``pipeline``, and scipy only when a linear trainer runs.
 """
 
 import importlib

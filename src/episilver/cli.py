@@ -19,7 +19,7 @@ from pathlib import Path
 # import the numeric ones when they run, so `--help`, `synth`, `ingest`
 # and `label`, and the ingest worker processes, never load them. Of the
 # others, `eval` and `report` load numpy only; scipy comes in with the
-# trainers, so only `train` and `run` load it.
+# linear trainers: `train` and `run` load it only for `logistic` or `svm`.
 from .config import (
     DEFAULT_CLASSES,
     MODEL_KINDS,

@@ -77,7 +77,7 @@ def check_distinct_paths(inputs, outputs) -> None:
         # realpath, unlike Path.resolve, does not raise on a symlink loop
         if (real := os.path.realpath(path)) in seen:
             raise ConfigError(f"{seen[real]} and {path} name the same file; "
-                              "input and output paths must be distinct")
+                              "each path must name a different file")
         seen[real] = path
 
 

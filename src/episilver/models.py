@@ -14,15 +14,15 @@ feature sampling driven by one seed. The solvers' dot products do not
 depend on the BLAS thread count. That makes every reported number
 exactly reproducible.
 
-The tree's split search reads only the stored entries of the sampled
-CSC columns: one sort per node covers all its sampled features, with
-each feature's implicit zeros counted as one block, and `predict` routes
-all rows through the tree together, reading one column per node from
-the column layout that a stable sort of the CSR column indices gives.
+The tree reads the rows as the columns that `_columns` builds, in
+training and routing alike. The split search reads only the stored
+entries of the sampled columns: one sort per node covers all its sampled
+features, with each feature's implicit zeros counted as one block, and
+`predict` routes all rows through the tree together, one column per node.
 
-Only the trainers load scipy: each wraps its input in one
-`scipy.sparse.csr_matrix`, without a copy. `predict` reads the CSR arrays
-with numpy, so the commands that only score never import scipy.
+Only the linear trainers load scipy: each wraps its input in one
+`scipy.sparse.csr_matrix`, without a copy. The tree and `predict` read
+the CSR arrays with numpy, so neither loads scipy.
 
 Objectives (summed over samples, weights penalized, bias free):
   logistic:      sum_i -log softmax(x_i W + b)[y_i]  +  ||W||^2 / (2 s)
@@ -264,7 +264,13 @@ class LinearModel:
         return self.final_grad_norm <= self.hyperparams.tol
 
 
-def _class_setup(y: Sequence[EpidemicClass]) -> tuple[tuple[EpidemicClass, ...], np.ndarray]:
+def _class_setup(
+    X: CsrArrays, y: Sequence[EpidemicClass]
+) -> tuple[tuple[EpidemicClass, ...], np.ndarray]:
+    """Sorted classes and each label's index in them; DataError unless X
+    has one row per label and at least one."""
+    if X.shape[0] == 0 or X.shape[0] != len(y):
+        raise DataError(f"bad training input: {X.shape[0]} rows, {len(y)} labels")
     order = tuple(sorted(set(y)))
     if len(order) < 2:
         raise DegenerateLabelsError(
@@ -274,13 +280,10 @@ def _class_setup(y: Sequence[EpidemicClass]) -> tuple[tuple[EpidemicClass, ...],
     return order, np.array([index[label] for label in y], dtype=np.intp)
 
 
-def _training_matrix(X: CsrArrays, y: Sequence[EpidemicClass]):
-    """X as a scipy CSR matrix over its own arrays, not copied; DataError
-    unless X has one row per label and at least one."""
+def _training_matrix(X: CsrArrays):
+    """X as a scipy CSR matrix over its own arrays, not copied."""
     from scipy import sparse
 
-    if X.shape[0] == 0 or X.shape[0] != len(y):
-        raise DataError(f"bad training input: {X.shape[0]} rows, {len(y)} labels")
     return sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
 
 
@@ -291,8 +294,8 @@ def train_logistic(
 ) -> LinearModel:
     """Multinomial (softmax) logistic regression, zero-initialized."""
     hp = hyperparams or LinearHyperparams()
-    X = _training_matrix(X, y)
-    class_order, y_idx = _class_setup(y)
+    class_order, y_idx = _class_setup(X, y)
+    X = _training_matrix(X)
     dim, n_classes = X.shape[1], len(class_order)
 
     def unpack(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -333,8 +336,8 @@ def train_linear_svm(
 ) -> LinearModel:
     """One-vs-rest squared-hinge linear SVM; prediction is argmax margin."""
     hp = hyperparams or LinearHyperparams()
-    X = _training_matrix(X, y)
-    class_order, y_idx = _class_setup(y)
+    class_order, y_idx = _class_setup(X, y)
+    X = _training_matrix(X)
     dim = X.shape[1]
     weights = np.zeros((dim, len(class_order)))
     bias = np.zeros(len(class_order))
@@ -384,13 +387,12 @@ class TreeHyperparams:
 
 @dataclass(frozen=True, slots=True)
 class TreeNode:
-    """Internal node when leaf_class < 0, else a leaf. In a trained tree an
-    internal node's left child is the next node in preorder, so model files
-    store no `left` and the loader sets it to the node's id + 1."""
+    """Internal node when leaf_class < 0, else a leaf. Nodes are numbered
+    in preorder, so an internal node's left child is the next node (id + 1)
+    and only its right child is stored."""
 
     feature: int = -1
     threshold: float = 0.0
-    left: int = -1
     right: int = -1
     leaf_class: int = -1
 
@@ -437,17 +439,17 @@ def _feature_splits(
     the sorted sample `rows`, for all features in one pass. The gain is
     -inf where the node has a single value of the feature.
 
-    `mat` is a canonical scipy CSC matrix; `in_node` is an all-false row
-    mask, set for the node and cleared again; `counts` are the node's
-    class counts. Only stored entries are sorted. A feature's rows with
-    no entry form one zero block, which enters the sort as one entry of
-    value 0 that carries the block's class counts: the node's minus those
-    of the feature's entries (Breiman et al. 1984). Candidate thresholds are
-    midpoints between consecutive distinct values; ties keep the lowest
-    threshold. The class counts on each side of a cut are the integers
-    that sorting the feature's dense values over the node gives, and the
-    gain expression is the same, so the floats match that search bit for
-    bit.
+    `mat` holds the columns as `_columns` builds them; `in_node` is an
+    all-false row mask, set for the node and cleared again; `counts` are
+    the node's class counts. Only stored entries are sorted. A feature's
+    rows with no entry form one zero block, which enters the sort as one
+    entry of value 0 that carries the block's class counts: the node's
+    minus those of the feature's entries (Breiman et al. 1984). Candidate
+    thresholds are midpoints between consecutive distinct values; ties
+    keep the lowest threshold. The class counts on each side of a cut are
+    the integers that sorting the feature's dense values over the node
+    gives, and the gain expression is the same, so the floats match that
+    search bit for bit.
     """
     n, n_classes, k = len(rows), len(counts), len(features)
     starts = mat.indptr[features]
@@ -503,14 +505,32 @@ def _split_rows(
     rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """`rows` whose value of `feature` is <= threshold (absent counts as
-    0), and the rest. `mat` is a matrix in CSC layout, read through its
-    `indptr`, `indices` and `data`; `column` is an all-zero scratch vector
-    over its rows, left that way."""
+    0), and the rest. `mat` holds the columns as `_columns` builds them;
+    `column` is an all-zero scratch vector over its rows, left that way."""
     entries = slice(mat.indptr[feature], mat.indptr[feature + 1])
     column[mat.indices[entries]] = mat.data[entries]
     mask = column[rows] <= threshold
     column[mat.indices[entries]] = 0.0
     return rows[mask], rows[~mask]
+
+
+def _columns(X: CsrArrays) -> CsrArrays:
+    """The CSR arrays of X transposed, in X's index dtype: a stable sort of
+    the column indices keeps each column's entries in row order, and the
+    repeats of a (row, column) entry are added to its first in stored
+    order. Training and routing both read the rows through these columns."""
+    n, dim = X.shape
+    order = np.argsort(X.indices, kind="stable")
+    rows = np.repeat(np.arange(n, dtype=X.indices.dtype), np.diff(X.indptr))[order]
+    columns, data = X.indices[order], X.data[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]) | (columns[1:] != columns[:-1])
+    if not new.all():  # add.at adds in index order, from each run's first
+        data, repeats = data[new], data[~new]
+        np.add.at(data, np.cumsum(new)[~new] - 1, repeats)
+        rows, columns = rows[new], columns[new]
+    counts = np.bincount(columns, minlength=dim)
+    return CsrArrays(data, rows, np.concatenate(([0], np.cumsum(counts))), (dim, n))
 
 
 def train_decision_tree(
@@ -530,11 +550,9 @@ def train_decision_tree(
     fixes the feature-sampling sequence for a given seed.
     """
     hp = hyperparams or TreeHyperparams()
-    X = _training_matrix(X, y)
-    class_order, y_idx = _class_setup(y)
-    mat = X.tocsc().astype(np.float64, copy=False)
-    mat.sum_duplicates()
-    dim = mat.shape[1]
+    class_order, y_idx = _class_setup(X, y)
+    mat = _columns(X)
+    dim = X.shape[1]
     n_classes = len(class_order)
     n_features = max(1, math.isqrt(dim))
     rng = random.Random(hp.seed)
@@ -565,11 +583,9 @@ def train_decision_tree(
             return node_id
         feature, threshold = int(candidates[best]), float(thresholds[best])
         left_rows, right_rows = _split_rows(mat, column, feature, threshold, rows)
-        left_id = build(left_rows, depth + 1)
-        right_id = build(right_rows, depth + 1)
-        nodes[node_id] = TreeNode(
-            feature=feature, threshold=threshold, left=left_id, right=right_id,
-        )
+        build(left_rows, depth + 1)
+        nodes[node_id] = TreeNode(feature=feature, threshold=threshold,
+                                  right=build(right_rows, depth + 1))
         return node_id
 
     build(np.arange(X.shape[0]), 0)
@@ -603,25 +619,10 @@ def _linear_scores(model: LinearModel, X: CsrArrays) -> np.ndarray:
 
 def _predict_tree(model: TreeModel, X: CsrArrays) -> list[EpidemicClass]:
     """Route all rows at once: node by node in id order (children follow
-    their parent), split each node's rows on one column. The columns are
-    the CSR arrays of X transposed: a stable sort of the column indices
-    keeps each column's entries in row order, the layout of scipy's
-    `tocsc()`. Repeats of a (row, column) entry end up adjacent and are
-    summed, as the trainer's `sum_duplicates` sums them."""
+    their parent), split each node's rows on one column of `_columns(X)`,
+    the columns the trainer reads."""
     n = X.shape[0]
-    order = np.argsort(X.indices, kind="stable")
-    rows, columns, data = (np.repeat(np.arange(n), np.diff(X.indptr))[order],
-                           X.indices[order], X.data[order])
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]) | (columns[1:] != columns[:-1])
-    if not new.all():  # bincount adds each run's values in stored order
-        data = np.bincount(np.cumsum(new) - 1, weights=data)
-        rows, columns = rows[new], columns[new]
-    mat = CsrArrays(
-        data=data, indices=rows,
-        indptr=np.concatenate(
-            ([0], np.cumsum(np.bincount(columns, minlength=model.dim)))),
-        shape=(model.dim, n))
+    mat = _columns(X)
     column = np.zeros(n)
     leaf = np.empty(n, dtype=np.intp)
     arrivals: list[list[np.ndarray]] = [[] for _ in model.nodes]
@@ -633,7 +634,7 @@ def _predict_tree(model: TreeModel, X: CsrArrays) -> list[EpidemicClass]:
             leaf[rows] = node.leaf_class
         elif len(rows):
             left, right = _split_rows(mat, column, node.feature, node.threshold, rows)
-            arrivals[node.left].append(left)
+            arrivals[i + 1].append(left)
             arrivals[node.right].append(right)
     return [model.class_order[c] for c in leaf.tolist()]
 
@@ -678,7 +679,7 @@ def save_model(
 def load_model(path: str | Path) -> tuple[LinearModel | TreeModel, str]:
     """Load a persisted model; returns (model, expected tfidf checksum), or
     DataError naming the file unless saving it again gives the file back
-    (`errors.read_document`). A tree node's left child is the next node."""
+    (`errors.read_document`)."""
     return read_document(Path(path).read_bytes(), str(path), "model file",
                          MODEL_FORMAT_VERSION, _model_from_doc,
                          lambda loaded: _model_json(*loaded))
@@ -693,9 +694,8 @@ def _model_from_doc(doc: dict) -> tuple[LinearModel | TreeModel, str]:
         nodes = tuple(
             TreeNode(leaf_class=int(n["leaf"])) if "leaf" in n else TreeNode(
                 feature=int(n["feature"]), threshold=float(n["threshold"]),
-                left=i + 1, right=int(n["right"]),
-            )
-            for i, n in enumerate(doc["nodes"])
+                right=int(n["right"]))
+            for n in doc["nodes"]
         )
         if not nodes:
             raise ValueError("tree has no nodes")

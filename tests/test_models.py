@@ -467,7 +467,7 @@ class TestDecisionTree:
             if node.is_leaf:
                 assert depth <= 150
                 return
-            walk(node.left, depth + 1)
+            walk(node_id + 1, depth + 1)
             walk(node.right, depth + 1)
 
         walk(0, 0)
@@ -475,11 +475,11 @@ class TestDecisionTree:
         for r in range(X.shape[0]):
             row = X.getrow(r)
             values = dict(zip(row.indices.tolist(), row.data.tolist()))
-            node = model.nodes[0]
+            i, node = 0, model.nodes[0]
             while not node.is_leaf:
                 x = values.get(node.feature, 0.0)
-                node = model.nodes[node.left] if x <= node.threshold \
-                    else model.nodes[node.right]
+                i = i + 1 if x <= node.threshold else node.right
+                node = model.nodes[i]
 
     def test_shallow_depth_cap(self):
         rng = random.Random(21)
@@ -491,7 +491,7 @@ class TestDecisionTree:
             node = model.nodes[node_id]
             if node.is_leaf:
                 return 0
-            return 1 + max(depth(node.left), depth(node.right))
+            return 1 + max(depth(node_id + 1), depth(node.right))
 
         assert depth(0) <= 1
 

@@ -557,6 +557,20 @@ class TestCli:
         assert f"{source} and {same_file} name the same file" in record["message"]
         assert source.read_bytes() == original
 
+    def test_same_input_twice_exits_2(self, small_corpus, tmp_path, capsys):
+        """Two inputs that name one file: the message names both paths and
+        no output, since none is involved."""
+        out = tmp_path / "out.tsv"
+        code = main(["ingest", "--input", small_corpus, small_corpus,
+                     "--out", str(out), "--threads", "1"])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "ConfigError"
+        assert f"{small_corpus} and {small_corpus} name the same file" in record["message"]
+        assert "output" not in record["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     @pytest.mark.parametrize("command", ["ingest", "run"])
     def test_threads_below_one_exit_2(
@@ -1139,13 +1153,16 @@ def test_front_half_loads_no_numeric_package(tmp_path):
 
 
 def test_scoring_loads_no_scipy(default_run, tmp_path):
-    """`eval` and `report` score a `train` output with numpy alone: only
-    the trainers import scipy."""
+    """`eval` and `report` score a `train` output with numpy alone, and
+    `train --model tree` trains the same tree: only the linear trainers
+    import scipy."""
     src = str(Path(episilver.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out, dataset = tmp_path / "train", str(default_run / "dataset.tsv")
+    tree_out = tmp_path / "tree"
     assert main(["train", "--dataset", dataset, "--out", str(out), "--seed", "99"]) == 0
-    commands = [
+    commands = [["train", "--dataset", dataset, "--out", str(tree_out),
+                 "--seed", "99", "--model", "tree"]] + [
         ["eval", "--dataset", dataset, "--tfidf", str(out / "tfidf.json"),
          "--model-file", str(out / f"model-{kind}.json"), "--out", str(out)]
         for kind in MODEL_KINDS
@@ -1161,3 +1178,5 @@ def test_scoring_loads_no_scipy(default_run, tmp_path):
     for kind in MODEL_KINDS:
         assert ((out / f"report-{kind}.json").read_bytes()
                 == (default_run / f"report-{kind}.json").read_bytes())
+    assert ((tree_out / "model-tree.json").read_bytes()
+            == (out / "model-tree.json").read_bytes())

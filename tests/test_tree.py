@@ -16,7 +16,7 @@ import math
 import random
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import sparse
 
 from episilver.features import CsrArrays
@@ -26,6 +26,7 @@ from episilver.models import (
     TreeHyperparams,
     TreeModel,
     TreeNode,
+    _columns,
     _feature_splits,
     _row_entropy,
     _split_rows,
@@ -103,10 +104,10 @@ def reference_tree(X, y_idx, n_classes, hp):
             nodes[node_id] = TreeNode(leaf_class=majority)
             return node_id
         mask = best_values <= best_threshold
-        left_id = build(rows[mask], depth + 1)
+        build(rows[mask], depth + 1)
         right_id = build(rows[~mask], depth + 1)
         nodes[node_id] = TreeNode(feature=best_feature, threshold=best_threshold,
-                                  left=left_id, right=right_id)
+                                  right=right_id)
         return node_id
 
     build(np.arange(X.shape[0]), 0)
@@ -224,10 +225,11 @@ def test_saved_tree_bytes_pinned(tmp_path):
 
 def route_one_row(model, row):
     values = dict(zip(row.indices.tolist(), row.data.tolist()))
-    node = model.nodes[0]
+    i, node = 0, model.nodes[0]
     while not node.is_leaf:
         x = values.get(node.feature, 0.0)
-        node = model.nodes[node.left if x <= node.threshold else node.right]
+        i = i + 1 if x <= node.threshold else node.right
+        node = model.nodes[i]
     return model.class_order[node.leaf_class]
 
 
@@ -245,7 +247,7 @@ def random_tree(rng, dim, n_classes, levels):
         left = grow(depth - 1)
         right = left if rng.random() < 0.1 else grow(depth - 1)
         nodes[node_id] = TreeNode(feature=feature, threshold=threshold,
-                                  left=left, right=right)
+                                  right=right)
         return node_id
 
     grow(rng.randint(0, 7))
@@ -283,7 +285,7 @@ def tocsc_leaves(model, X):
             leaf[rows] = i
         elif len(rows):
             left, right = _split_rows(mat, column, node.feature, node.threshold, rows)
-            arrivals[node.left].append(left)
+            arrivals[i + 1].append(left)
             arrivals[node.right].append(right)
     return leaf.tolist()
 
@@ -308,9 +310,9 @@ def routed(draw):
             return node_id
         internal -= 1
         feature, threshold = draw(st.integers(0, dim - 1)), draw(VALUES)
-        left = grow()
+        grow()
         nodes[node_id] = TreeNode(feature=feature, threshold=threshold,
-                                  left=left, right=grow())
+                                  right=grow())
         return node_id
 
     grow()
@@ -326,10 +328,22 @@ def routed(draw):
     return model, csr_rows(rows, dim)
 
 
+# a lone -0.0 beside a repeat: summing from 0.0 would store +0.0
+@example((TreeModel(nodes=(TreeNode(leaf_class=0),), class_order=(EC(0),),
+                    hyperparams=TreeHyperparams(), dim=2),
+          csr_rows([[(0, -0.0)], [(1, 0.5), (1, 0.25)]], 2)))
 @settings(deadline=None, max_examples=200)
 @given(routed())
 def test_routing_reaches_the_leaf_of_the_tocsc_layout(problem):
+    """`_columns` is scipy's column layout with repeats summed, bit for
+    bit, and the router reaches the leaf that layout gives."""
     model, X = problem
+    canonical = X.tocsc()
+    canonical.sum_duplicates()
+    columns = _columns(X)
+    assert np.array_equal(columns.indptr, canonical.indptr)
+    assert np.array_equal(columns.indices, canonical.indices)
+    assert columns.data.tobytes() == canonical.data.tobytes()
     expected = [model.class_order[model.nodes[i].leaf_class]
                 for i in tocsc_leaves(model, X)]
     assert predict(model, CsrArrays(X.data, X.indices, X.indptr, X.shape)) == expected
