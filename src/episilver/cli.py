@@ -214,8 +214,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """A usage error is a ConfigError of the subcommand whose parser
+        found it, or of `cli` for the top-level parser."""
+        raise ConfigError(message, stage=self.prog.partition(" ")[2] or "cli")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="episilver",
         description="Silver-standard epidemic tweet datasets and classical "
                     "text classifiers",
@@ -293,10 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args, extra = build_parser().parse_known_args(argv)
         with stage(args.command):
+            if extra:
+                raise ConfigError(f"unrecognized arguments: {' '.join(extra)}")
             return args.func(args)
     except PipelineError as exc:
         message = str(exc)

@@ -10,6 +10,7 @@ AIDS.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -224,19 +225,14 @@ def load_ruleset(path: str | Path | None) -> Ruleset:
     return parse_ruleset_text(text, origin=str(path))
 
 
-_default_ruleset: Ruleset | None = None
-
-
+@functools.cache
 def default_ruleset() -> Ruleset:
     """The built-in 11-rule set, loaded once from package data."""
-    global _default_ruleset
-    if _default_ruleset is None:
-        text = (
-            resources.files(__package__).joinpath(DEFAULT_RULES_RESOURCE)
-            .read_text(encoding="utf-8")
-        )
-        _default_ruleset = parse_ruleset_text(text, origin=DEFAULT_RULES_RESOURCE)
-    return _default_ruleset
+    text = (
+        resources.files(__package__).joinpath(DEFAULT_RULES_RESOURCE)
+        .read_text(encoding="utf-8")
+    )
+    return parse_ruleset_text(text, origin=DEFAULT_RULES_RESOURCE)
 
 
 def match_rules(ruleset: Ruleset, text: str) -> tuple[LabelRule, ...]:

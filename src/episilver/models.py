@@ -2,16 +2,18 @@
 taken as they are.
 
 All three trainers are deterministic. The linear models start from zero
-and take truncated Newton steps (`_newton`): conjugate gradient on
-Hessian-vector products solves H d = -g until the residual is at most
-0.1 |g| min(1, |g|), and Armijo backtracking from t = 1 accepts each
-step, so the loss history never increases. For the squared hinge this
-is L2-SVM-MFN (Keerthi & DeCoste 2005), for the multinomial loss the
-Newton method of LIBLINEAR (Lin, Weng & Keerthi 2008) with a line search
-in place of the trust region. They report whether the gradient norm
-reached the tolerance. The tree isolates its randomness in per-node
-feature sampling driven by one seed. The solvers' dot products do not
-depend on the BLAS thread count. That makes every reported number
+and take truncated Newton steps (`_newton`) on one objective callable,
+`logistic_loss_grad` or `squared_hinge_loss_grad`, which gives the loss,
+the gradient and the Hessian-vector product of a point from one X W + b.
+Conjugate gradient on those products solves H d = -g until the residual
+is at most 0.1 |g| min(1, |g|), and Armijo backtracking from t = 1
+accepts each step, so the loss history never increases. For the squared
+hinge this is L2-SVM-MFN (Keerthi & DeCoste 2005), for the multinomial
+loss the Newton method of LIBLINEAR (Lin, Weng & Keerthi 2008) with a
+line search in place of the trust region. They report whether the
+gradient norm reached the tolerance. The tree isolates its randomness in
+per-node feature sampling driven by one seed. The solvers' dot products
+do not depend on the BLAS thread count. That makes every reported number
 exactly reproducible.
 
 The tree reads the rows as the columns that `_columns` builds, in
@@ -71,8 +73,11 @@ def logistic_loss_grad(
     X,
     y_idx: np.ndarray,
     strength: float,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Summed multinomial cross-entropy + L2; returns (loss, gW, gb)."""
+) -> tuple[float, np.ndarray, np.ndarray, Callable]:
+    """Summed multinomial cross-entropy + L2 at (weights, bias); returns
+    (loss, gW, gb, hv), hv: (V_W, v_b) -> H (V_W, v_b) the Hessian product
+    at the same point. With P = softmax(XW + b) and Z = X V_W + v_b,
+    M = P*Z - P*rowsum(P*Z); the product is (X'M + V_W / s, colsum(M))."""
     n = X.shape[0]
     scores = X @ weights + bias
     row_max = scores.max(axis=1, keepdims=True)
@@ -83,7 +88,13 @@ def logistic_loss_grad(
     probs[np.arange(n), y_idx] -= 1.0
     grad_w = np.asarray(X.T @ probs) + weights / strength
     grad_b = probs.sum(axis=0)
-    return loss, grad_w, grad_b
+    p = softmax(scores)
+
+    def hv(vw: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pz = p * (X @ vw + vb)
+        m = pz - p * pz.sum(axis=1, keepdims=True)
+        return np.asarray(X.T @ m) + vw / strength, m.sum(axis=0)
+    return loss, grad_w, grad_b, hv
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -98,76 +109,49 @@ def squared_hinge_loss_grad(
     X,
     y_pm: np.ndarray,
     strength: float,
-) -> tuple[float, np.ndarray, float]:
-    """Summed squared hinge + L2 for one binary problem (labels +-1)."""
+) -> tuple[float, np.ndarray, float, Callable]:
+    """Summed squared hinge + L2 for one binary problem (labels +-1) at
+    (w, b); returns (loss, gw, gb, hv), hv: (v_w, v_b) -> H (v_w, v_b) the
+    generalized Hessian product at the same point (Keerthi & DeCoste
+    2005). With A the rows of positive slack and z = 2 (X_A v_w + v_b),
+    the product is (X_A'z + v_w / s, sum(z))."""
     margins = X @ w + b
     slack = np.maximum(0.0, 1.0 - y_pm * margins)
     loss = _dot(slack, slack) + 0.5 / strength * _dot(w, w)
     coeff = -2.0 * slack * y_pm
     grad_w = np.asarray(X.T @ coeff) + w / strength
     grad_b = float(coeff.sum())
-    return loss, grad_w, grad_b
+    active = X[slack > 0.0]
 
-
-def logistic_hessian_product(
-    weights: np.ndarray,
-    bias: np.ndarray,
-    X,
-    strength: float,
-) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """(V_W, v_b) -> H (V_W, v_b) for the logistic objective's Hessian at
-    (weights, bias). With P = softmax(XW + b) fixed and Z = X V_W + v_b,
-    M = P*Z - P*rowsum(P*Z); the product is (X'M + V_W / s, colsum(M))."""
-    probs = softmax(np.asarray(X @ weights + bias))
-
-    def product(vw: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pz = probs * (X @ vw + vb)
-        m = pz - probs * pz.sum(axis=1, keepdims=True)
-        return np.asarray(X.T @ m) + vw / strength, m.sum(axis=0)
-    return product
-
-
-def squared_hinge_hessian_product(
-    w: np.ndarray,
-    b: float,
-    X,
-    y_pm: np.ndarray,
-    strength: float,
-) -> Callable[[np.ndarray, float], tuple[np.ndarray, float]]:
-    """(v_w, v_b) -> H (v_w, v_b) for the generalized Hessian of the squared
-    hinge at (w, b) (Keerthi & DeCoste 2005). With the rows of positive
-    slack A fixed and z = 2 (X_A v_w + v_b), the product is
-    (X_A'z + v_w / s, sum(z))."""
-    active = X[1.0 - y_pm * (X @ w + b) > 0.0]
-
-    def product(vw: np.ndarray, vb: float) -> tuple[np.ndarray, float]:
+    def hv(vw: np.ndarray, vb: float) -> tuple[np.ndarray, float]:
         z = 2.0 * (active @ vw + vb)
         return np.asarray(active.T @ z) + vw / strength, float(z.sum())
-    return product
+    return loss, grad_w, grad_b, hv
 
 
 def _newton(
-    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    hessian_product: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
+    objective: Callable[[np.ndarray], tuple[float, np.ndarray, Callable]],
     theta: np.ndarray,
     max_iter: int,
     tol: float,
 ) -> tuple[np.ndarray, list[float], float, int]:
     """Truncated Newton steps with Armijo backtracking line search.
 
-    Each step solves H d = -g by conjugate gradient from d = 0, with H the
-    Hessian (generalized, for the squared hinge) that
-    `hessian_product(theta)` fixes at the current point and applies as
-    v -> Hv. CG stops once the residual is <= 0.1 |g| min(1, |g|), on
-    p'Hp <= 0, or after MAX_CG_STEPS products; d falls back to -g when it
-    is not a descent direction. Backtracking from t = 1 accepts the first
-    step with f(theta + t d) <= f(theta) + c t g'd, so the recorded loss
-    history is non-increasing by construction. Stops at max_iter Newton
-    steps, at gradient norm <= tol, or when no acceptable step exists.
-    Returns (theta, loss history, final gradient norm, Hessian-vector
-    products); the history holds one loss more than the Newton steps.
+    `objective(theta)` evaluates the problem once at theta and returns
+    the loss, the gradient g and v -> Hv, H the Hessian there
+    (generalized, for the squared hinge). Each step solves H d = -g by
+    conjugate gradient from d = 0 with the product of the current point,
+    the one its accepted evaluation returned. CG stops once the residual
+    is <= 0.1 |g| min(1, |g|), on p'Hp <= 0, or after MAX_CG_STEPS
+    products; d falls back to -g when it is not a descent direction.
+    Backtracking from t = 1 accepts the first step with
+    f(theta + t d) <= f(theta) + c t g'd, so the recorded loss history is
+    non-increasing by construction. Stops at max_iter Newton steps, at
+    gradient norm <= tol, or when no acceptable step exists. Returns
+    (theta, loss history, final gradient norm, Hessian-vector products);
+    the history holds one loss more than the Newton steps.
     """
-    loss, grad = value_and_grad(theta)
+    loss, grad, hess = objective(theta)
     if not math.isfinite(loss):
         raise DivergenceError(f"non-finite initial loss {loss}")
     history = [loss]
@@ -176,24 +160,22 @@ def _newton(
     for _ in range(max_iter):
         if gnorm <= tol:
             break
-        direction, used = _conjugate_gradient(
-            hessian_product(theta), grad, gnorm)
+        direction, used = _conjugate_gradient(hess, grad, gnorm)
+        del hess  # free it during the line search: a trial brings its own
         products += used
         slope = _dot(grad, direction)
         if not slope < 0.0:
             direction, slope = -grad, -gnorm * gnorm
         step = 1.0
-        accepted = False
         for _ in range(MAX_BACKTRACKS):
             trial = theta + step * direction
-            trial_loss, trial_grad = value_and_grad(trial)
+            trial_loss, trial_grad, trial_hess = objective(trial)
             if math.isfinite(trial_loss) and trial_loss <= loss + ARMIJO_C * step * slope:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:  # no acceptable step
             break
-        theta, loss, grad = trial, trial_loss, trial_grad
+        theta, loss, grad, hess = trial, trial_loss, trial_grad, trial_hess
         gnorm = math.sqrt(_dot(grad, grad))
         history.append(loss)
     if not math.isfinite(loss):
@@ -287,6 +269,32 @@ def _training_matrix(X: CsrArrays):
     return sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
 
 
+def _unpack(theta: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(W, b) of a point packed as (W.ravel(), b), W of shape (dim, k)."""
+    k = len(theta) // (dim + 1)
+    return theta[: dim * k].reshape(dim, k), theta[dim * k:]
+
+
+def _linear_model(kind: str, runs: list, class_order: tuple[EpidemicClass, ...],
+                  hp: LinearHyperparams, dim: int) -> LinearModel:
+    """The model of `_newton` runs, each over a point packed as `_unpack`
+    reads it for the next block of classes: one run for all the classes,
+    or one per class for one-vs-rest."""
+    thetas, histories, gnorms, products = zip(*runs)
+    weights, bias = zip(*(_unpack(theta, dim) for theta in thetas))
+    return LinearModel(
+        kind=kind,
+        weights=np.hstack(weights),
+        bias=np.concatenate(bias),
+        class_order=class_order,
+        hyperparams=hp,
+        dim=dim,
+        cg_products=sum(products),
+        final_grad_norm=max(gnorms),
+        loss_histories=tuple(map(tuple, histories)),
+    )
+
+
 def train_logistic(
     X: CsrArrays,
     y: Sequence[EpidemicClass],
@@ -296,37 +304,16 @@ def train_logistic(
     hp = hyperparams or LinearHyperparams()
     class_order, y_idx = _class_setup(X, y)
     X = _training_matrix(X)
-    dim, n_classes = X.shape[1], len(class_order)
+    dim = X.shape[1]
 
-    def unpack(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return theta[: dim * n_classes].reshape(dim, n_classes), theta[dim * n_classes:]
+    def objective(theta: np.ndarray):
+        loss, gw, gb, hv = logistic_loss_grad(
+            *_unpack(theta, dim), X, y_idx, hp.strength)
+        return loss, np.append(gw, gb), lambda v: np.append(*hv(*_unpack(v, dim)))
 
-    def pack(w: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.concatenate([w.ravel(), b])
-
-    def packed(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        loss, gw, gb = logistic_loss_grad(*unpack(theta), X, y_idx, hp.strength)
-        return loss, pack(gw, gb)
-
-    def hessian(theta: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        product = logistic_hessian_product(*unpack(theta), X, hp.strength)
-        return lambda v: pack(*product(*unpack(v)))
-
-    theta0 = np.zeros(dim * n_classes + n_classes)
-    theta, history, gnorm, products = _newton(
-        packed, hessian, theta0, hp.max_iter, hp.tol)
-    weights, bias = unpack(theta)
-    return LinearModel(
-        kind="logistic",
-        weights=weights,
-        bias=bias,
-        class_order=class_order,
-        hyperparams=hp,
-        dim=dim,
-        cg_products=products,
-        final_grad_norm=gnorm,
-        loss_histories=(tuple(history),),
-    )
+    theta0 = np.zeros((dim + 1) * len(class_order))
+    run = _newton(objective, theta0, hp.max_iter, hp.tol)
+    return _linear_model("logistic", [run], class_order, hp, dim)
 
 
 def train_linear_svm(
@@ -339,44 +326,17 @@ def train_linear_svm(
     class_order, y_idx = _class_setup(X, y)
     X = _training_matrix(X)
     dim = X.shape[1]
-    weights = np.zeros((dim, len(class_order)))
-    bias = np.zeros(len(class_order))
-    histories: list[tuple[float, ...]] = []
-    total_products = 0
-    max_gnorm = 0.0
+    runs = []
     for c in range(len(class_order)):
         y_pm = np.where(y_idx == c, 1.0, -1.0)
 
-        def packed(theta: np.ndarray) -> tuple[float, np.ndarray]:
-            loss, gw, gb = squared_hinge_loss_grad(
-                theta[:dim], theta[dim], X, y_pm, hp.strength
-            )
-            return loss, np.append(gw, gb)
-
-        def hessian(theta: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-            product = squared_hinge_hessian_product(
+        def objective(theta: np.ndarray):
+            loss, gw, gb, hv = squared_hinge_loss_grad(
                 theta[:dim], theta[dim], X, y_pm, hp.strength)
-            return lambda v: np.append(*product(v[:dim], v[dim]))
+            return loss, np.append(gw, gb), lambda v: np.append(*hv(v[:dim], v[dim]))
 
-        theta, history, gnorm, products = _newton(
-            packed, hessian, np.zeros(dim + 1), hp.max_iter, hp.tol
-        )
-        weights[:, c] = theta[:dim]
-        bias[c] = theta[dim]
-        histories.append(tuple(history))
-        total_products += products
-        max_gnorm = max(max_gnorm, gnorm)
-    return LinearModel(
-        kind="svm",
-        weights=weights,
-        bias=bias,
-        class_order=class_order,
-        hyperparams=hp,
-        dim=dim,
-        cg_products=total_products,
-        final_grad_norm=max_gnorm,
-        loss_histories=tuple(histories),
-    )
+        runs.append(_newton(objective, np.zeros(dim + 1), hp.max_iter, hp.tol))
+    return _linear_model("svm", runs, class_order, hp, dim)
 
 
 @dataclass(frozen=True, slots=True)

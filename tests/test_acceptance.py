@@ -237,7 +237,7 @@ def _check_logistic_gradients(rng: random.Random) -> float:
         W = np.array([[rng.gauss(0, 0.6) for _ in range(n_classes)]
                       for _ in range(dim)])
         b = np.array([rng.gauss(0, 0.6) for _ in range(n_classes)])
-        _, gw, gb = logistic_loss_grad(W, b, mat, y, 1.0)
+        _, gw, gb = logistic_loss_grad(W, b, mat, y, 1.0)[:3]
         analytic = np.concatenate([gw.ravel(), gb])
         theta = np.concatenate([W.ravel(), b])
 
@@ -263,7 +263,7 @@ def _check_hinge_gradients(rng: random.Random) -> float:
         b = rng.gauss(0, 0.8)
         if np.abs(1.0 - y_pm * (mat @ w + b)).min() < 1e-3:
             continue  # resample away from the hinge kink
-        _, gw, gb = squared_hinge_loss_grad(w, b, mat, y_pm, 1.0)
+        _, gw, gb = squared_hinge_loss_grad(w, b, mat, y_pm, 1.0)[:3]
         theta = np.append(w, b)
 
         def f(t, mat=mat, y_pm=y_pm, dim=dim):

@@ -46,6 +46,7 @@ class TestRulesetCompilation:
         by_key = {(r.target, r.case_sensitive): r.priority for r in rs.rules}
         assert by_key[(EC.SWINE_FLU, False)] < by_key[(EC.FLU, False)]
         assert (EC.HIV_AIDS, True) in by_key  # the uppercase-only rule
+        assert default_ruleset() is rs  # loaded once
 
     def test_non_compiling_pattern(self):
         with pytest.raises(PatternError, match="cholera"):

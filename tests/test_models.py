@@ -29,12 +29,10 @@ from episilver.models import (
     _linear_scores,
     entropy_bits,
     load_model,
-    logistic_hessian_product,
     logistic_loss_grad,
     predict,
     save_model,
     softmax,
-    squared_hinge_hessian_product,
     squared_hinge_loss_grad,
     train_decision_tree,
     train_linear_svm,
@@ -163,7 +161,7 @@ class TestGradients:
         W = np.array([[rng.gauss(0, 0.5) for _ in range(n_classes)]
                       for _ in range(dim)])
         b = np.array([rng.gauss(0, 0.5) for _ in range(n_classes)])
-        loss, gw, gb = logistic_loss_grad(W, b, mat, y, 1.0)
+        loss, gw, gb = logistic_loss_grad(W, b, mat, y, 1.0)[:3]
         analytic = np.concatenate([gw.ravel(), gb])
         theta = np.concatenate([W.ravel(), b])
 
@@ -187,7 +185,7 @@ class TestGradients:
             margins = mat @ w + b
             if np.abs(1.0 - y_pm * margins).min() < 1e-3:
                 continue  # too close to the hinge kink for finite differences
-            loss, gw, gb = squared_hinge_loss_grad(w, b, mat, y_pm, 1.0)
+            loss, gw, gb = squared_hinge_loss_grad(w, b, mat, y_pm, 1.0)[:3]
             theta = np.append(w, b)
 
             def f(t):
@@ -215,11 +213,11 @@ class TestHessianProducts:
 
             def grad(t):
                 _, gw, gb = logistic_loss_grad(
-                    t[:split].reshape(dim, n_classes), t[split:], mat, y, 0.7)
+                    t[:split].reshape(dim, n_classes), t[split:], mat, y, 0.7)[:3]
                 return np.concatenate([gw.ravel(), gb])
 
-            hv = logistic_hessian_product(
-                theta[:split].reshape(dim, n_classes), theta[split:], mat, 0.7)
+            hv = logistic_loss_grad(
+                theta[:split].reshape(dim, n_classes), theta[split:], mat, y, 0.7)[3]
 
             def product(v):
                 hw, hb = hv(v[:split].reshape(dim, n_classes), v[split:])
@@ -243,10 +241,10 @@ class TestHessianProducts:
             theta = np.append(w, b)
 
             def grad(t):
-                _, gw, gb = squared_hinge_loss_grad(t[:dim], t[dim], mat, y_pm, 0.7)
+                _, gw, gb = squared_hinge_loss_grad(t[:dim], t[dim], mat, y_pm, 0.7)[:3]
                 return np.append(gw, gb)
 
-            hv = squared_hinge_hessian_product(w, b, mat, y_pm, 0.7)
+            hv = squared_hinge_loss_grad(w, b, mat, y_pm, 0.7)[3]
             fd = finite_difference(grad, theta)
             analytic = np.array([np.append(*hv(e[:dim], e[dim]))
                                  for e in np.eye(dim + 1)])
@@ -336,7 +334,7 @@ class TestConvergence:
         index = {cls: i for i, cls in enumerate(model.class_order)}
         y_idx = np.array([index[label] for label in y])
         _, gw, gb = logistic_loss_grad(
-            model.weights, model.bias, X, y_idx, self.HP.strength)
+            model.weights, model.bias, X, y_idx, self.HP.strength)[:3]
         gnorm = math.hypot(np.linalg.norm(gw), np.linalg.norm(gb))
         assert gnorm <= self.HP.tol
         assert model.converged
@@ -350,7 +348,7 @@ class TestConvergence:
         for c, cls in enumerate(model.class_order):
             y_pm = np.array([1.0 if label is cls else -1.0 for label in y])
             _, gw, gb = squared_hinge_loss_grad(
-                model.weights[:, c], model.bias[c], X, y_pm, self.HP.strength)
+                model.weights[:, c], model.bias[c], X, y_pm, self.HP.strength)[:3]
             gnorms.append(math.hypot(np.linalg.norm(gw), gb))
         assert max(gnorms) <= self.HP.tol
         assert model.converged
@@ -404,19 +402,31 @@ with tempfile.TemporaryDirectory() as d:
 """
 
 
-def test_linear_models_do_not_depend_on_blas_threads():
+def train_and_hash(threads: str) -> list[str]:
+    """The digests TRAIN_AND_HASH prints, run with `threads` BLAS threads."""
     tests = Path(__file__).resolve().parent
     src = Path(episilver.__file__).resolve().parents[1]
-    outputs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)]),
-               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-        proc = subprocess.run([sys.executable, "-c", TRAIN_AND_HASH], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout.split())
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)]),
+           "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+    proc = subprocess.run([sys.executable, "-c", TRAIN_AND_HASH], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_linear_models_do_not_depend_on_blas_threads():
+    outputs = [train_and_hash(threads) for threads in ("1", "2")]
     assert len(outputs[0]) == 2
     assert outputs[0] == outputs[1]
+
+
+def test_saved_linear_bytes_pinned():
+    """The SHA-256 of each file TRAIN_AND_HASH saves, pinned while each
+    Hessian product still computed X W + b apart from the loss."""
+    assert train_and_hash("1") == [
+        "e6e2f5cb23c08f84c7f4c2d80f49087264ab6990921b84296b8b163e363fb767",
+        "93bc46d638775880dff9dcc2c0efde95b933d0faf302d226e022002427170ee7",
+    ]
 
 
 class TestDecisionTree:
@@ -471,7 +481,9 @@ class TestDecisionTree:
             walk(node.right, depth + 1)
 
         walk(0, 0)
-        # every training sample routes to a leaf that agrees with each test
+        # every training sample routes to a leaf that agrees with each test,
+        # and that leaf's class is the one predict gives the row
+        predicted = predict(model, X)
         for r in range(X.shape[0]):
             row = X.getrow(r)
             values = dict(zip(row.indices.tolist(), row.data.tolist()))
@@ -480,6 +492,7 @@ class TestDecisionTree:
                 x = values.get(node.feature, 0.0)
                 i = i + 1 if x <= node.threshold else node.right
                 node = model.nodes[i]
+            assert model.class_order[node.leaf_class] == predicted[r]
 
     def test_shallow_depth_cap(self):
         rng = random.Random(21)

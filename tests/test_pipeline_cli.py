@@ -513,6 +513,29 @@ class TestCli:
         assert record["stage"] == "ingest"
         assert record["error"] == "DataError"
 
+    @pytest.mark.parametrize("argv, stage", [
+        pytest.param(["train", "--dataset", "x", "--out", "y", "--ratio", "abc"],
+                     "train", id="invalid-float"),
+        pytest.param(["train", "--out", "y"], "train", id="missing-flag"),
+        pytest.param(["label", "--input", "x", "--out", "y", "--policy", "first"],
+                     "label", id="unknown-choice"),
+        pytest.param(["train", "--dataset", "x", "--out", "y", "--bogus"],
+                     "train", id="unknown-flag"),
+        pytest.param(["fly"], "cli", id="unknown-subcommand"),
+        pytest.param([], "cli", id="no-subcommand"),
+    ])
+    def test_usage_error_exits_2_with_one_error_record(self, capsys, argv, stage):
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert (record["stage"], record["error"]) == (stage, "ConfigError")
+
+    def test_help_prints_usage_and_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["train", "--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: episilver train")
+
     @pytest.mark.parametrize("classes", ["plague", ""])
     @pytest.mark.parametrize("command", ["run", "label"])
     def test_bad_class_list_exits_2(self, small_corpus, small_docs, tmp_path,
