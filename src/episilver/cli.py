@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 # Only stdlib-only modules at the top: the commands that train or score
@@ -75,11 +76,10 @@ def _write_docs_tsv(docs: list[NormalizedDocument], path: str) -> None:
             fh.write(f"{doc.id}\t{doc.text}\n")
 
 
-def _read_docs_tsv(path: str) -> list[NormalizedDocument]:
-    return [
-        NormalizedDocument(id=doc_id, text=text)
-        for _, (doc_id, text) in read_tsv(path, DOCS_HEADER)
-    ]
+def _read_docs_tsv(path: str) -> Iterator[NormalizedDocument]:
+    """The documents of a docs TSV, read line by line as they are taken."""
+    return (NormalizedDocument(id=doc_id, text=text)
+            for _, (doc_id, text) in read_tsv(path, DOCS_HEADER))
 
 
 def _write_stats(summary: dict, path: str | None) -> None:
@@ -112,7 +112,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     check_distinct_paths(args.input, (args.out, args.stats))
-    docs, stats = ingest_files(args.input, _lang_arg(args.lang), args.threads)
+    docs, stats = ingest_files(args.input, args.lang, args.threads)
     _write_docs_tsv(docs, args.out)
     _write_stats(stats.as_dict(), args.stats)
     print(f"wrote {len(docs)} documents to {args.out}")
@@ -202,7 +202,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         ratio=args.ratio,
         master_seed=args.seed,
         model_kinds=MODEL_KINDS if args.model == "all" else (args.model,),
-        require_lang=_lang_arg(args.lang),
+        require_lang=args.lang,
         mask_keywords=args.mask_keywords,
         threads=args.threads,
     )
@@ -228,7 +228,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "text classifiers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_classes = ",".join(c.label for c in DEFAULT_CLASSES)
+    # options that `run` shares with the staged commands, declared once
+    ingest, label, train, shared = (
+        argparse.ArgumentParser(add_help=False) for _ in range(4))
+    ingest.add_argument("--lang", type=_lang_arg, default="en",
+                        help='language code or "none"')
+    ingest.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    label.add_argument("--classes",
+                       default=",".join(c.label for c in DEFAULT_CLASSES))
+    label.add_argument("--policy", choices=MULTI_MATCH_POLICIES, default="exclude")
+    train.add_argument("--model", choices=MODEL_KINDS + ("all",), default="all")
+    train.add_argument("--ratio", type=float, default=0.75)
+    train.add_argument("--mask-keywords", action="store_true")
+    shared.add_argument("--ruleset")
+    shared.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--out", required=True)
@@ -243,32 +256,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--non-english-rate", type=float, default=0.0)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ingest", help="parse, filter, normalize, deduplicate")
+    p = sub.add_parser("ingest", parents=[ingest],
+                       help="parse, filter, normalize, deduplicate")
     p.add_argument("--input", nargs="+", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--lang", default="en", help='language code or "none"')
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--stats", help="write the ingest summary here instead of stderr")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("label", help="label documents and balance negatives")
+    p = sub.add_parser("label", parents=[label, shared],
+                       help="label documents and balance negatives")
     p.add_argument("--input", required=True, help="docs TSV from ingest")
     p.add_argument("--out", required=True)
-    p.add_argument("--ruleset")
-    p.add_argument("--classes", default=default_classes)
-    p.add_argument("--policy", choices=MULTI_MATCH_POLICIES, default="exclude")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stats")
     p.set_defaults(func=cmd_label)
 
-    p = sub.add_parser("train", help="split, fit features, train models")
+    p = sub.add_parser("train", parents=[train, shared],
+                       help="split, fit features, train models")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--model", choices=MODEL_KINDS + ("all",), default="all")
-    p.add_argument("--ratio", type=float, default=0.75)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mask-keywords", action="store_true")
-    p.add_argument("--ruleset")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a model on the split tfidf.json records")
@@ -283,18 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("tsv", "json", "confusion"), default="tsv")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("run", help="full pipeline")
+    p = sub.add_parser("run", parents=[ingest, label, train, shared],
+                       help="full pipeline")
     p.add_argument("--input", nargs="+", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--ruleset")
-    p.add_argument("--classes", default=default_classes)
-    p.add_argument("--policy", choices=MULTI_MATCH_POLICIES, default="exclude")
-    p.add_argument("--ratio", type=float, default=0.75)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--model", choices=MODEL_KINDS + ("all",), default="all")
-    p.add_argument("--lang", default="en", help='language code or "none"')
-    p.add_argument("--mask-keywords", action="store_true")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_run)
     return parser
 

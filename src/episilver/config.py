@@ -14,7 +14,7 @@ import os
 from dataclasses import asdict, dataclass
 
 from .errors import ConfigError
-from .labeling import EpidemicClass
+from .labeling import EpidemicClass, check_included
 
 DEFAULT_CLASSES = (
     EpidemicClass.CHOLERA,
@@ -45,12 +45,7 @@ class PipelineConfig:
             raise ConfigError("no input paths")
         if not 0.0 < self.ratio < 1.0:
             raise ConfigError(f"ratio {self.ratio} outside (0, 1)")
-        if not self.included_classes:
-            raise ConfigError("included class list is empty")
-        for cls in self.included_classes:
-            if cls is EpidemicClass.NON_EPIDEMIC:
-                raise ConfigError("the non-epidemic class is always implied; "
-                                  "include only epidemic classes")
+        check_included(self.included_classes)
         for kind in self.model_kinds:
             if kind not in MODEL_KINDS:
                 raise ConfigError(f"unknown model kind {kind!r}")

@@ -350,6 +350,16 @@ def sample_negatives(
     ]
 
 
+def check_included(included: Sequence[EpidemicClass]) -> None:
+    """ConfigError unless ``included`` names at least one class and only
+    epidemic ones: the non-epidemic class is always implied."""
+    if not included:
+        raise ConfigError("included class list is empty")
+    if EpidemicClass.NON_EPIDEMIC in included:
+        raise ConfigError("the non-epidemic class is always implied; "
+                          "include only epidemic classes")
+
+
 def label_documents(
     docs: Iterable[NormalizedDocument],
     ruleset: Ruleset,
@@ -364,11 +374,11 @@ def label_documents(
 
     Also returns the counts ``matched`` (per resolved class),
     ``ambiguous_excluded`` and ``unmatched``; they sum to len(docs).
-    An empty ``included`` is a ConfigError.
+    ``included`` is checked (``check_included``) before any document is
+    read.
     """
     included = tuple(included)
-    if not included:
-        raise ConfigError("included class list is empty")
+    check_included(included)
     positives: dict[EpidemicClass, list[LabeledExample]] = {c: [] for c in included}
     pool: list[NormalizedDocument] = []
     matched: dict[str, int] = {}

@@ -178,8 +178,6 @@ def _newton(
         theta, loss, grad, hess = trial, trial_loss, trial_grad, trial_hess
         gnorm = math.sqrt(_dot(grad, grad))
         history.append(loss)
-    if not math.isfinite(loss):
-        raise DivergenceError(f"non-finite loss {loss}")
     return theta, history, gnorm, products
 
 
@@ -250,9 +248,11 @@ def _class_setup(
     X: CsrArrays, y: Sequence[EpidemicClass]
 ) -> tuple[tuple[EpidemicClass, ...], np.ndarray]:
     """Sorted classes and each label's index in them; DataError unless X
-    has one row per label and at least one."""
+    has one row per label and at least one, and only finite values."""
     if X.shape[0] == 0 or X.shape[0] != len(y):
         raise DataError(f"bad training input: {X.shape[0]} rows, {len(y)} labels")
+    if not np.isfinite(X.data).all():
+        raise DataError("bad training input: a feature value is not finite")
     order = tuple(sorted(set(y)))
     if len(order) < 2:
         raise DegenerateLabelsError(
@@ -390,7 +390,6 @@ def _feature_splits(
     mat,
     features: np.ndarray,
     rows: np.ndarray,
-    in_node: np.ndarray,
     y_idx: np.ndarray,
     counts: np.ndarray,
     parent_entropy: float,
@@ -399,17 +398,16 @@ def _feature_splits(
     the sorted sample `rows`, for all features in one pass. The gain is
     -inf where the node has a single value of the feature.
 
-    `mat` holds the columns as `_columns` builds them; `in_node` is an
-    all-false row mask, set for the node and cleared again; `counts` are
-    the node's class counts. Only stored entries are sorted. A feature's
-    rows with no entry form one zero block, which enters the sort as one
-    entry of value 0 that carries the block's class counts: the node's
-    minus those of the feature's entries (Breiman et al. 1984). Candidate
-    thresholds are midpoints between consecutive distinct values; ties
-    keep the lowest threshold. The class counts on each side of a cut are
-    the integers that sorting the feature's dense values over the node
-    gives, and the gain expression is the same, so the floats match that
-    search bit for bit.
+    `mat` holds the columns as `_columns` builds them, so `mat.shape[1]`
+    is the row count; `counts` are the node's class counts. Only stored
+    entries are sorted. A feature's rows with no entry form one zero
+    block, which enters the sort as one entry of value 0 that carries the
+    block's class counts: the node's minus those of the feature's entries
+    (Breiman et al. 1984). Candidate thresholds are midpoints between
+    consecutive distinct values; ties keep the lowest threshold. The
+    class counts on each side of a cut are the integers that sorting the
+    feature's dense values over the node gives, and the gain expression
+    is the same, so the floats match that search bit for bit.
     """
     n, n_classes, k = len(rows), len(counts), len(features)
     starts = mat.indptr[features]
@@ -418,9 +416,9 @@ def _feature_splits(
     # positions of the features' entries in mat.indices, feature by feature
     pos = np.arange(lengths.sum()) + np.repeat(
         starts - (np.cumsum(lengths) - lengths), lengths)
+    in_node = np.zeros(mat.shape[1], dtype=bool)
     in_node[rows] = True
     keep = in_node[mat.indices[pos]]
-    in_node[rows] = False
     feat, pos = feat[keep], pos[keep]
     classes = y_idx[mat.indices[pos]]
     stored = np.bincount(feat * n_classes + classes, minlength=k * n_classes)
@@ -458,19 +456,15 @@ def _feature_splits(
 
 
 def _split_rows(
-    mat,
-    column: np.ndarray,
-    feature: int,
-    threshold: float,
-    rows: np.ndarray,
+    mat, feature: int, threshold: float, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """`rows` whose value of `feature` is <= threshold (absent counts as
-    0), and the rest. `mat` holds the columns as `_columns` builds them;
-    `column` is an all-zero scratch vector over its rows, left that way."""
+    0), and the rest. `mat` holds the columns as `_columns` builds them,
+    so `mat.shape[1]` is the row count."""
     entries = slice(mat.indptr[feature], mat.indptr[feature + 1])
+    column = np.zeros(mat.shape[1])
     column[mat.indices[entries]] = mat.data[entries]
     mask = column[rows] <= threshold
-    column[mat.indices[entries]] = 0.0
     return rows[mask], rows[~mask]
 
 
@@ -516,8 +510,6 @@ def train_decision_tree(
     n_classes = len(class_order)
     n_features = max(1, math.isqrt(dim))
     rng = random.Random(hp.seed)
-    in_node = np.zeros(X.shape[0], dtype=bool)
-    column = np.zeros(X.shape[0])
     nodes: list[TreeNode] = []
 
     def build(rows: np.ndarray, depth: int) -> int:
@@ -531,7 +523,7 @@ def train_decision_tree(
             return node_id
         candidates = np.array(sorted(rng.sample(range(dim), n_features)))
         gains, thresholds = _feature_splits(
-            mat, candidates, rows, in_node, y_idx, counts, parent_entropy)
+            mat, candidates, rows, y_idx, counts, parent_entropy)
         best_gain = 0.0
         best = -1
         for j, gain in enumerate(gains.tolist()):
@@ -542,7 +534,7 @@ def train_decision_tree(
             nodes[node_id] = TreeNode(leaf_class=majority)
             return node_id
         feature, threshold = int(candidates[best]), float(thresholds[best])
-        left_rows, right_rows = _split_rows(mat, column, feature, threshold, rows)
+        left_rows, right_rows = _split_rows(mat, feature, threshold, rows)
         build(left_rows, depth + 1)
         nodes[node_id] = TreeNode(feature=feature, threshold=threshold,
                                   right=build(right_rows, depth + 1))
@@ -578,24 +570,21 @@ def _linear_scores(model: LinearModel, X: CsrArrays) -> np.ndarray:
 
 
 def _predict_tree(model: TreeModel, X: CsrArrays) -> list[EpidemicClass]:
-    """Route all rows at once: node by node in id order (children follow
-    their parent), split each node's rows on one column of `_columns(X)`,
-    the columns the trainer reads."""
-    n = X.shape[0]
+    """Route all rows at once from a stack of (node, rows) pairs, without
+    recursion, so a loaded tree of any depth routes: each internal node
+    splits its rows on one column of `_columns(X)`, the columns the
+    trainer reads, and pushes both parts."""
     mat = _columns(X)
-    column = np.zeros(n)
-    leaf = np.empty(n, dtype=np.intp)
-    arrivals: list[list[np.ndarray]] = [[] for _ in model.nodes]
-    arrivals[0].append(np.arange(n))
-    for i, node in enumerate(model.nodes):
-        parts, arrivals[i] = arrivals[i], []
-        rows = np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
+    leaf = np.empty(X.shape[0], dtype=np.intp)
+    stack = [(0, np.arange(X.shape[0]))]
+    while stack:
+        i, rows = stack.pop()
+        node = model.nodes[i]
         if node.is_leaf:
             leaf[rows] = node.leaf_class
         elif len(rows):
-            left, right = _split_rows(mat, column, node.feature, node.threshold, rows)
-            arrivals[i + 1].append(left)
-            arrivals[node.right].append(right)
+            left, right = _split_rows(mat, node.feature, node.threshold, rows)
+            stack += [(node.right, right), (i + 1, left)]
     return [model.class_order[c] for c in leaf.tolist()]
 
 

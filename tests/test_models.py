@@ -293,6 +293,19 @@ def test_bad_training_input_rejected(train, X, y):
         train(X, y)
 
 
+@pytest.mark.parametrize("train", [train_logistic, train_linear_svm, train_decision_tree],
+                         ids=["logistic", "svm", "tree"])
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+def test_non_finite_feature_value_rejected(train, value):
+    """One non-finite value gives the linear trainers a non-finite loss,
+    and the tree a split at the midpoint of 1 and inf, which sends the
+    inf row left and which no model file can hold."""
+    X = CsrArrays(np.array([1.0, value, 0.5]), np.array([0, 0, 1], dtype=np.int32),
+                  np.array([0, 1, 2, 3], dtype=np.int32), (3, 2))
+    with pytest.raises(DataError, match="not finite"):
+        train(X, [EC.MERS, EC.FLU, EC.MERS])
+
+
 class TestLinearSvm:
     def test_separable_toy(self):
         model = train_linear_svm(TOY_X, TOY_Y)

@@ -1,5 +1,6 @@
 import dataclasses
 import gzip
+import hashlib
 import json
 import math
 import os
@@ -254,6 +255,32 @@ def default_run(small_corpus, tmp_path_factory):
     return out
 
 
+def test_run_artifacts_pinned(default_run):
+    """The SHA-256 of each output of `default_run` but the manifest, pinned
+    before the tree router kept a stack in place of a table per node."""
+    digests = {name: hashlib.sha256((default_run / name).read_bytes()).hexdigest()
+               for name in RUN_DIGESTS}
+    assert digests == RUN_DIGESTS
+
+
+RUN_DIGESTS = {
+    "dataset.tsv": "f594ebf9aab2676d8872ce1df455141f41a7a3b8f2a8c736fa57027f30cfcbb2",
+    "tfidf.json": "19c24a54880ca2e74b7ea2ad94fa36c9935e674c888c7af135399daf13dde604",
+    "model-logistic.json":
+        "1e6a9c12b882a5fb0565e04bc348d117f48f3006e8835aeb1f84686a1bd7b206",
+    "model-svm.json": "4888878be0a22bba10d5764ee93f89770822a01395ef789dde9c18b0a491fe7c",
+    "model-tree.json": "7e89ab8a6678e87056eb81fd8e921a592646726922f10deb0d5ffa1400a24a0b",
+    "report-logistic.json":
+        "a65dd84c8a7abb06156fe848649ea780ae19240c946a136e44bbc7ce55f68619",
+    "report-svm.json": "7dbf5004fb91dd1861b4a9acaa9dfe49a1978af272aacaf8c680ad3bce27947d",
+    "report-tree.json": "45293d13687805e666d1252eeb5c5dd4e8a9fc442638f7bcf3cb9112ffbf2194",
+    "confusion-logistic.csv":
+        "253691d89c88c2d3a3ad38751ce060b37e0b0afa2a9b9cbf1f0f647dfc7abc42",
+    "confusion-svm.csv": "7dc64736ad47183ffe95f7ff72970fbe74599911c3eaec57de842f5362d6bb4a",
+    "confusion-tree.csv": "a2ccb031afc5c090f95249947163f005562e4389eea11f845844706ab810f41c",
+}
+
+
 class TestOneTrainingPath:
     def test_train_subcommand_reproduces_run_artifacts(self, default_run, tmp_path):
         staged = tmp_path / "staged"
@@ -441,6 +468,25 @@ class TestOneLabelingPath:
         texts = [line.split("\t", 1)[1]
                  for line in small_docs.read_text(encoding="utf-8").splitlines()[1:]]
         assert matched_texts == texts
+
+    def test_label_refuses_the_non_epidemic_class_before_reading(
+            self, small_docs, tmp_path, monkeypatch, capsys):
+        """`label` fails as `run` does, and matches no document first."""
+        real, calls = labeling.match_rules, []
+
+        def counting(ruleset, text):
+            calls.append(text)
+            return real(ruleset, text)
+
+        monkeypatch.setattr(labeling, "match_rules", counting)
+        assert main(["label", "--input", str(small_docs),
+                     "--out", str(tmp_path / "ds.tsv"),
+                     "--classes", "cholera,non_epidemic"]) == 2
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert record["message"] == ("the non-epidemic class is always implied; "
+                                     "include only epidemic classes")
+        assert calls == []
+        assert not (tmp_path / "ds.tsv").exists()
 
 
 class TestPipelineConfig:

@@ -31,6 +31,7 @@ from episilver.models import (
     _row_entropy,
     _split_rows,
     entropy_bits,
+    load_model,
     predict,
     save_model,
     train_decision_tree,
@@ -168,10 +169,8 @@ def test_feature_splits_match_dense_search(problem, data):
         st.sets(st.integers(0, dim - 1), min_size=1), label="features")))
     counts = np.bincount(y_idx[rows], minlength=n_classes)
     parent = entropy_bits(counts)
-    in_node = np.zeros(n, dtype=bool)
-    gains, thresholds = _feature_splits(
-        mat, features, rows, in_node, y_idx, counts, parent)
-    assert not in_node.any()
+    columns = CsrArrays(mat.data, mat.indices, mat.indptr, mat.shape[::-1])
+    gains, thresholds = _feature_splits(columns, features, rows, y_idx, counts, parent)
     for j, feature in enumerate(features):
         found = _best_threshold(_column_values(mat, feature, rows),
                                 y_idx[rows], n_classes, parent)
@@ -269,13 +268,36 @@ def test_batched_routing_matches_per_row_router():
                                      for r in range(X.shape[0])]
 
 
+def test_loaded_chain_of_splits_routes_every_row(tmp_path):
+    """A model file is outside input, and the loader takes a tree of any
+    depth: here 1,500 splits of one chain (3,001 nodes), each with a leaf
+    on its left, deeper than Python's recursion limit."""
+    splits = 1500
+    nodes = []
+    for k in range(splits):
+        nodes += [TreeNode(feature=0, threshold=k + 0.5, right=2 * k + 2),
+                  TreeNode(leaf_class=k % len(EC))]
+    nodes.append(TreeNode(leaf_class=0))
+    path = tmp_path / "chain.json"
+    save_model(TreeModel(nodes=tuple(nodes), class_order=tuple(EC),
+                         hyperparams=TreeHyperparams(), dim=2), path, "0" * 64)
+    model, _ = load_model(path)
+    assert len(model.nodes) == 2 * splits + 1
+    values = [0.0, 1.0, 7.0, 7.5, 1499.0, 1500.0, 2999.5]
+    X = csr_rows([[(0, v)] for v in values] + [[], [(1, 3.0)]], 2)
+    expected = [model.class_order[int(v) % len(EC) if v < splits else 0]
+                for v in values + [0.0, 0.0]]
+    assert predict(model, X) == expected
+    assert expected == [route_one_row(model, X.getrow(r)) for r in range(X.shape[0])]
+
+
 def tocsc_leaves(model, X):
     """The leaf node each row of scipy matrix X reaches, routed on the
     columns of `X.tocsc()` with repeated entries summed, as the trainer
     reads them."""
-    mat = X.tocsc()
-    mat.sum_duplicates()
-    column = np.zeros(X.shape[0])
+    m = X.tocsc()
+    m.sum_duplicates()
+    mat = CsrArrays(m.data, m.indices, m.indptr, m.shape[::-1])
     leaf = np.empty(X.shape[0], dtype=np.intp)
     arrivals = [[] for _ in model.nodes]
     arrivals[0].append(np.arange(X.shape[0]))
@@ -284,7 +306,7 @@ def tocsc_leaves(model, X):
         if node.is_leaf:
             leaf[rows] = i
         elif len(rows):
-            left, right = _split_rows(mat, column, node.feature, node.threshold, rows)
+            left, right = _split_rows(mat, node.feature, node.threshold, rows)
             arrivals[i + 1].append(left)
             arrivals[node.right].append(right)
     return leaf.tolist()
