@@ -18,9 +18,10 @@ from pathlib import Path
 
 # Only stdlib-only modules at the top: the commands that train or score
 # import the numeric ones when they run, so `--help`, `synth`, `ingest`
-# and `label`, and the ingest worker processes, never load them. Of the
-# others, `eval` and `report` load numpy only; scipy comes in with the
-# linear trainers: `train` and `run` load it only for `logistic` or `svm`.
+# and `label` never load them, nor do the workers that `ingest` forks.
+# Of the others, `eval` and `report` load numpy only; scipy comes in with
+# the linear trainers: `train` and `run` load it only for `logistic` or
+# `svm`.
 from .config import (
     DEFAULT_CLASSES,
     MODEL_KINDS,
@@ -78,8 +79,8 @@ def _write_docs_tsv(docs: list[NormalizedDocument], path: str) -> None:
 
 def _read_docs_tsv(path: str) -> Iterator[NormalizedDocument]:
     """The documents of a docs TSV, read line by line as they are taken."""
-    return (NormalizedDocument(id=doc_id, text=text)
-            for _, (doc_id, text) in read_tsv(path, DOCS_HEADER))
+    return (NormalizedDocument._make(fields)
+            for _, fields in read_tsv(path, DOCS_HEADER))
 
 
 def _write_stats(summary: dict, path: str | None) -> None:
@@ -100,9 +101,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         noise_token_rate=args.noise_rate,
         retweet_rate=args.retweet_rate,
         duplicate_rate=args.duplicate_rate,
-        url_rate=args.url_rate,
-        emoji_rate=args.emoji_rate,
-        non_english_rate=args.non_english_rate,
         seed=args.seed,
     )
     count = write_corpus(spec, args.out)
@@ -251,9 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-rate", type=float, default=0.0)
     p.add_argument("--retweet-rate", type=float, default=0.0)
     p.add_argument("--duplicate-rate", type=float, default=0.0)
-    p.add_argument("--url-rate", type=float, default=0.2)
-    p.add_argument("--emoji-rate", type=float, default=0.2)
-    p.add_argument("--non-english-rate", type=float, default=0.0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest", parents=[ingest],

@@ -8,6 +8,7 @@ object per line. Recognized fields: ``id_str``/``id``, ``full_text``/
 from __future__ import annotations
 
 import gzip
+import io
 import json
 import re
 import zlib
@@ -15,7 +16,6 @@ from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import starmap
 from typing import NamedTuple
 
 from .errors import DataError, ParseError, SchemaError
@@ -67,8 +67,11 @@ class TweetRecord(NamedTuple):
     is_retweet: bool
 
 
-@dataclass(frozen=True, slots=True)
-class NormalizedDocument:
+class NormalizedDocument(NamedTuple):
+    """One ingested tweet: its id and its normalized text. A named tuple,
+    because ingest and label build one per document: ``_make`` takes an
+    (id, text) row as it is parsed or read."""
+
     id: str
     text: str
 
@@ -162,7 +165,9 @@ def _normalize_pass(text: str) -> str:
         text = URL_PATTERN.sub(" ", text)
     if not text.isascii():
         text = EMOJI_PATTERN.sub("", text)
-    tokens = [t for t in text.split() if t not in EMOTICONS]
+    tokens = text.split()
+    if not EMOTICONS.isdisjoint(tokens):
+        tokens = [t for t in tokens if t not in EMOTICONS]
     return " ".join(tokens)
 
 
@@ -275,8 +280,13 @@ class IngestStats:
 def _open_stream(path: str):
     """A plain or (by its .gz suffix) gzip file, read in binary. A gzip
     stream that is truncated, damaged or not gzip at all is a DataError
-    that names the file."""
-    with gzip.open(path, "rb") if str(path).endswith(".gz") else open(path, "rb") as fh:
+    that names the file. A gzip stream is read through its own buffer,
+    which splits lines without a Python call per line."""
+    if str(path).endswith(".gz"):
+        stream = io.BufferedReader(gzip.open(path, "rb"))
+    else:
+        stream = open(path, "rb")
+    with stream as fh:
         try:
             yield fh
         except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
@@ -355,7 +365,7 @@ def ingest_files(
     def documents():
         for rows, file_stats in results:
             stats.merge(file_stats)
-            yield from starmap(NormalizedDocument, rows)
+            yield from map(NormalizedDocument._make, rows)
             del rows  # before waiting for the next file
 
     deduped, stats.duplicates_removed = deduplicate(documents())

@@ -291,6 +291,11 @@ def match_classes(ruleset: Ruleset, text: str) -> set[EpidemicClass]:
 MULTI_MATCH_POLICIES = ("exclude", "priority")
 
 
+def _check_policy(policy: str) -> None:
+    if policy not in MULTI_MATCH_POLICIES:
+        raise ConfigError(f"unknown multi-match policy {policy!r}")
+
+
 def resolve_label(
     matched: Sequence[LabelRule], policy: str = "exclude"
 ) -> EpidemicClass | None:
@@ -300,8 +305,7 @@ def resolve_label(
     to the lowest-priority rule's class under "priority", or to None
     under "exclude" (the default, minimizing cross-class label noise).
     """
-    if policy not in MULTI_MATCH_POLICIES:
-        raise ConfigError(f"unknown multi-match policy {policy!r}")
+    _check_policy(policy)
     classes = {rule.target for rule in matched}
     if not classes:
         return None
@@ -374,26 +378,26 @@ def label_documents(
 
     Also returns the counts ``matched`` (per resolved class),
     ``ambiguous_excluded`` and ``unmatched``; they sum to len(docs).
-    ``included`` is checked (``check_included``) before any document is
-    read.
+    ``included`` (``check_included``) and ``policy`` are checked before
+    any document is read.
     """
     included = tuple(included)
     check_included(included)
+    _check_policy(policy)
     positives: dict[EpidemicClass, list[LabeledExample]] = {c: [] for c in included}
     pool: list[NormalizedDocument] = []
     matched: dict[str, int] = {}
     ambiguous = 0
     for doc in docs:
         rules = match_rules(ruleset, doc.text)
-        label = resolve_label(rules, policy)
-        if label is not None:
+        if not rules:
+            pool.append(doc)
+        elif (label := resolve_label(rules, policy)) is None:
+            ambiguous += 1
+        else:
             matched[label.label] = matched.get(label.label, 0) + 1
             if label in positives:
                 positives[label].append(LabeledExample(doc.id, doc.text, label))
-        elif rules:
-            ambiguous += 1
-        else:
-            pool.append(doc)
     n_needed = sum(len(v) for v in positives.values())
     negatives = sample_negatives(pool, n_needed, seed)
     stats = {"matched": matched, "ambiguous_excluded": ambiguous,

@@ -1,5 +1,5 @@
 """One ordered map over worker processes, for ingest (a task per file),
-which needs only the standard library."""
+which needs only the standard library. The workers are forked."""
 
 from __future__ import annotations
 
@@ -15,12 +15,13 @@ def ordered_map(fn: Callable, tasks: Sequence, processes: int) -> Iterator:
     A count below 1 raises ConfigError here, before anything runs. With
     one process or one task the work runs in this process, a task at a
     time, and no pool starts. Otherwise the pool starts at the first
-    ``next()``, and it shuts down when the iterator is exhausted, raises
-    or is closed. Workers are spawned, never forked, so a parent that has
-    started BLAS threads is safe; a library caller that asks for more than
-    one process needs the ``if __name__ == "__main__":`` guard. fn and the
-    tasks must pickle, and an exception raised by fn reaches the caller as
-    itself.
+    ``next()``, and it shuts down, its workers joined, when the iterator
+    is exhausted, raises or is closed. Workers are forked, not started as
+    fresh interpreters, so a caller needs no ``if __name__ == "__main__":``
+    guard. A fork copies only the calling thread, so fn should need only
+    the standard library when the parent may have started BLAS threads.
+    fn, the tasks and the results must pickle, and an exception raised by
+    fn reaches the caller as itself.
     """
     if processes < 1:
         raise ConfigError(f"threads must be >= 1, got {processes}")
@@ -36,7 +37,7 @@ def _pooled_map(fn: Callable, tasks: Sequence, processes: int) -> Iterator:
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(
-        processes, mp_context=multiprocessing.get_context("spawn"))
+        processes, mp_context=multiprocessing.get_context("fork"))
     try:
         yield from pool.map(fn, tasks)
     finally:

@@ -390,6 +390,18 @@ class TestLabelDocuments:
             label_documents(docs, default_ruleset(), [EC.EBOLA, EC.FLU])
         assert exc.value.shortfall == 1
 
+    def test_unknown_policy_before_any_document_is_read(self):
+        def unread():
+            raise AssertionError("a document was read")
+            yield
+
+        with pytest.raises(ConfigError, match="unknown multi-match policy 'bogus'"):
+            label_documents(unread(), default_ruleset(), [EC.CHOLERA], policy="bogus")
+        # documents that match no rule never reach the policy either
+        with pytest.raises(ConfigError, match="unknown multi-match policy"):
+            label_documents(_doc_stream(["plain"]), default_ruleset(), [EC.CHOLERA],
+                            policy="bogus")
+
 
 def _examples(cls, texts):
     return [LabeledExample(id=f"{cls.label}{i}", text=t, label=cls)

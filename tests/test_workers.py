@@ -82,6 +82,20 @@ def test_worker_error_reaches_the_caller_as_itself(tmp_path):
         ingest_files([str(good), str(tmp_path / "missing.jsonl")], threads=2)
 
 
+def test_failed_worker_leaves_no_process_behind(tmp_path):
+    good = tmp_path / "good.jsonl"
+    good.write_text('{"id_str": "1", "text": "ok"}\n', encoding="utf-8")
+    truncated = tmp_path / "truncated.jsonl.gz"
+    truncated.write_bytes(gzip.compress(b'{"id_str": "2", "text": "x"}\n' * 50)[:40])
+    messages = []
+    for threads in (1, 2):
+        with pytest.raises(DataError) as exc:
+            ingest_files([str(good), str(truncated)], threads=threads)
+        messages.append(str(exc.value))
+        assert multiprocessing.active_children() == []
+    assert messages[0] == messages[1]
+
+
 def test_error_in_a_later_file_after_earlier_ones_merged(tmp_path, monkeypatch):
     paths = []
     for i in range(3):
