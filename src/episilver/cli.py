@@ -118,7 +118,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_label(args: argparse.Namespace) -> int:
-    check_distinct_paths((args.input,), (args.out, args.stats))
+    check_distinct_paths((args.input, args.ruleset), (args.out, args.stats))
     ruleset = load_ruleset(args.ruleset)
     docs = _read_docs_tsv(args.input)
     dataset, stats = label_documents(

@@ -3,6 +3,9 @@
 Input is line-delimited JSON, optionally gzip-compressed, one tweet
 object per line. Recognized fields: ``id_str``/``id``, ``full_text``/
 ``text``, ``lang``, and ``retweeted_status`` (presence only).
+
+`ingest_files` may run `parse_file` in forked worker processes, a file
+each, and merges their results itself.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import NamedTuple
 
-from .errors import DataError, ParseError, SchemaError
-from .workers import ordered_map
+from .errors import ConfigError, DataError, ParseError, SchemaError
 
 URL_PATTERN = re.compile(r"(?i)\b(?:https?://|www\.)\S+")
 
@@ -298,7 +300,10 @@ def parse_file(
 ) -> tuple[list[tuple[str, str]], IngestStats]:
     """Parse one archive file into the (id, normalized text) pairs of its
     documents (not deduplicated). Plain tuples, because a worker process
-    sends them back: they pickle about five times faster than documents."""
+    sends them back: they pickle about five times faster than documents.
+    It is all that the workers `ingest_files` forks run, and it needs
+    only the standard library, so the fork is safe even after the parent
+    started BLAS threads (a fork copies only the calling thread)."""
     path = str(path)
     stats = IngestStats(files=1)
     rows: list[tuple[str, str]] = []
@@ -351,23 +356,42 @@ def ingest_files(
 ) -> tuple[list[NormalizedDocument], IngestStats]:
     """Parse, filter, normalize and deduplicate a set of archive files.
 
-    With threads > 1, that many worker processes (at most one per file)
-    parse the files, but results are merged in file order (then line
-    order), so the output equals the sequential keep-first result
-    whatever the count. Each file is merged as its result arrives, and
-    its rows are dropped once merged.
+    A threads count below 1 is a ConfigError, raised before any file is
+    read. With one file or one thread the files are parsed in this
+    process; otherwise min(threads, len(paths)) forked worker processes
+    parse them, and the pool is shut down, its workers joined, when the
+    merge ends or raises. A worker's exception reaches the caller as
+    itself. Results are merged in file order (then line order), so the
+    output equals the sequential keep-first result whatever the count.
+    Each file is merged as its result arrives, and its rows are dropped
+    once merged.
     """
-    results = ordered_map(
-        partial(parse_file, require_lang=require_lang), list(paths), threads
-    )
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    paths = list(paths)
+    parse = partial(parse_file, require_lang=require_lang)
+    processes = min(threads, len(paths))
+    pool = None
+    if processes > 1:
+        # Imported here, so that a run that starts no pool does not pay
+        # for them. Forked workers need no `__main__` guard in the caller.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(
+            processes, mp_context=multiprocessing.get_context("fork"))
     stats = IngestStats()
 
     def documents():
-        for rows, file_stats in results:
+        for rows, file_stats in (map if pool is None else pool.map)(parse, paths):
             stats.merge(file_stats)
             yield from map(NormalizedDocument._make, rows)
             del rows  # before waiting for the next file
 
-    deduped, stats.duplicates_removed = deduplicate(documents())
+    try:
+        deduped, stats.duplicates_removed = deduplicate(documents())
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     stats.documents = len(deduped)
     return deduped, stats

@@ -97,15 +97,18 @@ def train_model(kind: str, X_train, y_train, master_seed: int,
                 tfidf: features.TfIdfModel, out_dir: Path):
     """Train one model kind at the default hyperparameters, the tree's
     sampling seed derived from the master seed, and write model-<kind>.json,
-    with the idf checksum of tfidf, the rows' feature model, into out_dir."""
+    with the idf checksum of tfidf, the rows' feature model, into out_dir.
+    A kind not in MODEL_KINDS is a ConfigError, raised before training."""
     if kind == "tree":
         model = models.train_decision_tree(
             X_train, y_train,
             models.TreeHyperparams(seed=derive_seed(master_seed, "tree")))
     elif kind == "logistic":
         model = models.train_logistic(X_train, y_train)
-    else:
+    elif kind == "svm":
         model = models.train_linear_svm(X_train, y_train)
+    else:
+        raise ConfigError(f"unknown model kind {kind!r}")
     models.save_model(model, out_dir / f"model-{kind}.json", features.idf_checksum(tfidf))
     return model
 

@@ -166,6 +166,8 @@ def _compound(inner):
     seq = st.lists(inner, min_size=1, max_size=3).map("".join)
     return st.one_of(
         st.tuples(seq, seq).map("(?:{0[0]}|{0[1]})".format),
+        st.tuples(seq, seq).map("({0[0]}|{0[1]})".format),
+        seq.map("({})".format),
         seq.flatmap(_repeat),
         seq.map("(?i:{})".format),
         seq.map("(?-i:{})".format),
@@ -208,6 +210,7 @@ class TestPrefilter:
         (r"(?:(?:\s+hiv)+)+", ("hiv",)),
         (r"(?:(?:ka)?){1,2}kill", ("kill",)),
         (r"(?:(?:hiv)*)+", ("",)),
+        (r"\b(swine\s*flu|swineflu)\b", ("swine",)),
     ])
     def test_nested_repeat_keys(self, pattern, keys):
         rs = compile_ruleset([LabelRule(EC.FLU, pattern, False, 0)])

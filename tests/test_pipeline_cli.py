@@ -569,6 +569,15 @@ class TestCli:
                      "train", id="unknown-flag"),
         pytest.param(["fly"], "cli", id="unknown-subcommand"),
         pytest.param([], "cli", id="no-subcommand"),
+        pytest.param(["synth", "--out", "x", "--counts", "cholera"],
+                     "synth", id="count-without-value"),
+        pytest.param(["synth", "--out", "x", "--counts", ","],
+                     "synth", id="no-counts"),
+        # refused before the missing input is opened, which would exit 3
+        pytest.param(["ingest", "--input", "missing.jsonl", "--out", "y",
+                      "--threads", "0"], "ingest", id="ingest-no-threads"),
+        pytest.param(["run", "--input", "x", "--out", "y", "--threads", "0"],
+                     "run", id="run-no-threads"),
     ])
     def test_usage_error_exits_2_with_one_error_record(self, capsys, argv, stage):
         assert main(argv) == 2
@@ -625,6 +634,23 @@ class TestCli:
         assert record["error"] == "ConfigError"
         assert f"{source} and {same_file} name the same file" in record["message"]
         assert source.read_bytes() == original
+
+    @pytest.mark.parametrize("flag", ["--out", "--stats"])
+    def test_label_output_over_its_ruleset_exits_2(
+            self, small_docs, tmp_path, capsys, flag):
+        rules, rule = tmp_path / "rules.tsv", b"cholera\t0\t0\t\\bcholera\\b\n"
+        rules.write_bytes(rule)
+        outputs = {"--out": str(tmp_path / "ds.tsv"),
+                   "--stats": str(tmp_path / "stats.json"), flag: str(rules)}
+        code = main(["label", "--input", str(small_docs), "--ruleset", str(rules),
+                     "--classes", "cholera",
+                     *(arg for item in outputs.items() for arg in item)])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert (record["stage"], record["error"]) == ("label", "ConfigError")
+        assert f"{rules} and {rules} name the same file" in record["message"]
+        assert rules.read_bytes() == rule
 
     def test_same_input_twice_exits_2(self, small_corpus, tmp_path, capsys):
         """Two inputs that name one file: the message names both paths and
@@ -928,6 +954,8 @@ REPORT_DAMAGE = {
     "negative-support": lambda doc: doc["per_class"][0].update(support=-1),
     "float-support": lambda doc: doc["per_class"][0].update(support=2.5),
     "zero-total-support": _zero_support,
+    "all-zero-confusion": lambda doc: doc.update(
+        confusion=[[0] * len(row) for row in doc["confusion"]]),
     "rows-out-of-order": lambda doc: doc["per_class"].reverse(),
     "row-missing": lambda doc: doc["per_class"].pop(),
     "confusion-row-missing": lambda doc: doc["confusion"].pop(),
@@ -971,10 +999,24 @@ def test_report_names_the_values_its_matrix_does_not_give(
 
 
 @pytest.mark.parametrize("kind", ["logistic", "svm", "tree"])
-def test_report_json_reproduces_the_file(default_run, capsys, kind):
+def test_report_json_reproduces_the_file(default_run, capsysbinary, kind):
+    """Each `--format` renders from the report JSON the bytes of the file
+    that `run` wrote in that format."""
     path = default_run / f"report-{kind}.json"
-    assert main(["report", "--report", str(path), "--format", "json"]) == 0
-    assert capsys.readouterr().out == path.read_text()
+    for fmt, written in [("json", path), ("tsv", f"report-{kind}.tsv"),
+                         ("confusion", f"confusion-{kind}.csv")]:
+        assert main(["report", "--report", str(path), "--format", fmt]) == 0
+        assert capsysbinary.readouterr().out == (
+            default_run / written).read_bytes(), fmt
+
+
+def test_train_model_refuses_an_unknown_kind(tmp_path):
+    texts = ["cholera outbreak", "plain words", "cholera cases", "more words"]
+    tfidf, X = pipeline.fit_features(texts, None, 0.5, 0, tmp_path)
+    y = [EC.CHOLERA, EC.NON_EPIDEMIC] * 2
+    with pytest.raises(ConfigError, match="unknown model kind 'bogus'"):
+        pipeline.train_model("bogus", X, y, 0, tfidf, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tfidf.json"]
 
 
 @pytest.mark.parametrize("name", ["model-logistic.json", "model-svm.json",
@@ -1187,14 +1229,17 @@ for argv in json.loads(sys.argv[1]):
         codes.append(main(argv))
     except SystemExit as exc:  # --help
         codes.append(exc.code)
-print(json.dumps({"codes": codes,
-                  "loaded": [m for m in ("numpy", "scipy") if m in sys.modules]}))
+print(json.dumps({"codes": codes, "loaded": [
+    m for m in ("numpy", "scipy", "multiprocessing", "concurrent.futures.process")
+    if m in sys.modules]}))
 """
 
 
 def test_front_half_loads_no_numeric_package(tmp_path):
     """`--help`, `synth`, `ingest` and `label` import neither numpy nor
-    scipy, nor does `import episilver`; every export still resolves."""
+    scipy, nor does `import episilver`; every export still resolves. An
+    `ingest` of one file starts no worker pool, so it loads neither
+    `multiprocessing` nor the process pool either."""
     src = str(Path(episilver.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     corpus, docs = str(tmp_path / "corpus.jsonl"), str(tmp_path / "docs.tsv")

@@ -1,5 +1,5 @@
-"""The ordered process map behind `--threads`, and the errors that cross
-from a worker process to the caller."""
+"""The worker processes behind `ingest_files(..., threads=N)`, and the
+errors that cross from a worker process to the caller."""
 
 import gzip
 import multiprocessing
@@ -11,7 +11,6 @@ import pytest
 from episilver import errors
 from episilver.corpus import IngestStats, ingest_files
 from episilver.errors import ConfigError, DataError, PipelineError
-from episilver.workers import ordered_map
 
 
 def _subclasses(cls):
@@ -44,31 +43,11 @@ def test_every_pipeline_error_survives_pickling(cls):
         assert getattr(back, name) == value, name
 
 
-def test_in_process_without_a_pool():
-    # a lambda does not pickle, so these can only have run in this process
-    assert list(ordered_map(lambda t: 2 * t, [1, 2, 3], 1)) == [2, 4, 6]
-    assert list(ordered_map(lambda t: 2 * t, [5], 4)) == [10]
-    assert list(ordered_map(lambda t: 2 * t, [], 4)) == []
-
-
-def test_pool_keeps_task_order():
-    tasks = [-5, 3, -1, 8, -2, 0, 7]
-    assert list(ordered_map(abs, tasks, 2)) == [abs(t) for t in tasks]
-
-
-@pytest.mark.parametrize("processes", [0, -3])
-def test_fewer_than_one_process_is_a_config_error(processes):
-    # raised by the call itself, before the first next()
-    with pytest.raises(ConfigError, match=f"got {processes}"):
-        ordered_map(abs, [1, 2], processes)
-
-
-def test_abandoned_iterator_shuts_the_pool_down():
-    results = ordered_map(abs, [-1, -2, -3, -4], 2)
-    assert next(results) == 1
-    assert multiprocessing.active_children()
-    results.close()
-    assert multiprocessing.active_children() == []
+@pytest.mark.parametrize("threads", [0, -3])
+def test_fewer_than_one_process_is_a_config_error(tmp_path, threads):
+    # raised before any file is read, so the missing file goes unnoticed
+    with pytest.raises(ConfigError, match=f"got {threads}"):
+        ingest_files([str(tmp_path / "missing.jsonl")], threads=threads)
 
 
 def test_worker_error_reaches_the_caller_as_itself(tmp_path):
