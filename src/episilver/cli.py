@@ -24,9 +24,13 @@ from pathlib import Path
 # `svm`.
 from .config import (
     DEFAULT_CLASSES,
+    MODEL_FILE,
     MODEL_KINDS,
+    REPORT_FILES,
+    TFIDF_FILE,
     PipelineConfig,
     check_distinct_paths,
+    check_outputs,
     derive_seed,
 )
 from .corpus import NormalizedDocument, ingest_files
@@ -135,6 +139,8 @@ def cmd_label(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     from .pipeline import fit_features, split_dataset, train_model
 
+    kinds = MODEL_KINDS if args.model == "all" else (args.model,)
+    check_outputs((args.dataset, args.ruleset), args.out, (TFIDF_FILE, MODEL_FILE), kinds)
     train, _ = split_dataset(
         read_dataset_tsv(args.dataset), args.ratio, args.seed)
     out_dir = Path(args.out)
@@ -143,7 +149,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     tfidf, X_train = fit_features(
         [ex.text for ex in train], mask, args.ratio, args.seed, out_dir)
     y_train = [ex.label for ex in train]
-    kinds = MODEL_KINDS if args.model == "all" else (args.model,)
     for kind in kinds:
         train_model(kind, X_train, y_train, args.seed, tfidf, out_dir)
         print(f"trained {kind} on {len(y_train)} examples -> model-{kind}.json")
@@ -167,6 +172,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"model {args.model_file} was trained against a different "
             f"feature model (checksum {expected[:12]}.. != {actual[:12]}..)"
         )
+    check_outputs((args.dataset, args.tfidf, args.model_file), args.out,
+                  REPORT_FILES.values(), (model.kind,))
     X_val = features.transform(tfidf, (ex.text for ex in validation))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -179,12 +186,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from . import evaluation
 
-    report = evaluation.report_from_json(
-        Path(args.report).read_bytes(), args.report)
-    if args.format == "confusion":
-        sys.stdout.buffer.write(evaluation.render_confusion_csv(report))
-    else:
-        sys.stdout.buffer.write(evaluation.render_report(report, args.format))
+    report = evaluation.report_from_json(Path(args.report).read_bytes(), args.report)
+    sys.stdout.buffer.write(evaluation.render_report(report, args.format))
     return 0
 
 
@@ -280,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="render a stored report")
     p.add_argument("--report", required=True, help="report JSON file")
-    p.add_argument("--format", choices=("tsv", "json", "confusion"), default="tsv")
+    p.add_argument("--format", choices=tuple(REPORT_FILES), default="tsv")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("run", parents=[ingest, label, train, shared],

@@ -25,6 +25,13 @@ DEFAULT_CLASSES = (
 
 MODEL_KINDS = ("logistic", "svm", "tree")
 
+# The files that `run`, `train` and `eval` write into --out, `{kind}` a model
+# kind; REPORT_FILES maps each report format to its file.
+DATASET_FILE, TFIDF_FILE, MANIFEST_FILE = "dataset.tsv", "tfidf.json", "manifest.json"
+MODEL_FILE = "model-{kind}.json"
+REPORT_FILES = {"tsv": "report-{kind}.tsv", "json": "report-{kind}.json",
+                "confusion": "confusion-{kind}.csv"}
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -49,7 +56,9 @@ class PipelineConfig:
         for kind in self.model_kinds:
             if kind not in MODEL_KINDS:
                 raise ConfigError(f"unknown model kind {kind!r}")
-        check_distinct_paths(self.inputs, (self.out_dir,))
+        check_outputs((*self.inputs, self.ruleset_path), self.out_dir,
+                      (DATASET_FILE, TFIDF_FILE, MANIFEST_FILE, MODEL_FILE,
+                       *REPORT_FILES.values()), self.model_kinds)
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
@@ -74,6 +83,14 @@ def check_distinct_paths(inputs, outputs) -> None:
             raise ConfigError(f"{seen[real]} and {path} name the same file; "
                               "each path must name a different file")
         seen[real] = path
+
+
+def check_outputs(inputs, out_dir, names, kinds) -> None:
+    """``check_distinct_paths`` of the inputs against out_dir and the files
+    a command writes into it: `names`, one with `{kind}` once per kind."""
+    check_distinct_paths(inputs, (out_dir, *dict.fromkeys(
+        os.path.join(out_dir, name.format(kind=kind)) for name in names
+        for kind in (kinds if "{kind}" in name else (None,)))))
 
 
 def derive_seed(master: int, stage: str) -> int:

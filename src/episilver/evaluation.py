@@ -175,37 +175,28 @@ def _report_json(report: EvalReport) -> dict:
 
 
 def render_report(report: EvalReport, fmt: str) -> bytes:
-    """Render as 4-decimal TSV (one row per class plus a weighted row)
-    or as full-precision JSON that round-trips to an equal report."""
+    """Render as 4-decimal TSV (one row per class plus a weighted row), as
+    full-precision JSON that round-trips to an equal report, or as the
+    row-normalized confusion matrix in CSV ("confusion")."""
     if fmt == "json":
         return json.dumps(_report_json(report), sort_keys=True).encode("utf-8")
     if fmt == "tsv":
         per_class = report.per_class
-        lines = [f"# model\t{report.model_id}"]
-        lines.append("class\tprecision\trecall\tf1\tsupport")
+        lines = [f"# model\t{report.model_id}", "class\tprecision\trecall\tf1\tsupport"]
+        lines += [f"{m.epidemic_class.label}\t{m.precision:.4f}\t{m.recall:.4f}"
+                  f"\t{m.f1:.4f}\t{m.support}" for m in per_class]
         total = sum(m.support for m in per_class)
-        for m in per_class:
-            lines.append(
-                f"{m.epidemic_class.label}\t{m.precision:.4f}\t{m.recall:.4f}"
-                f"\t{m.f1:.4f}\t{m.support}"
-            )
         w_p = sum(m.support * m.precision for m in per_class) / total
         w_r = sum(m.support * m.recall for m in per_class) / total
-        lines.append(
-            f"weighted\t{w_p:.4f}\t{w_r:.4f}\t{report.weighted_f1:.4f}\t{total}"
-        )
-        lines.append(f"# accuracy\t{report.accuracy:.4f}")
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    raise InputError(f"unknown report format {fmt!r}")
-
-
-def render_confusion_csv(report: EvalReport) -> bytes:
-    """Row-normalized confusion matrix as CSV, written next to reports."""
-    normalized = normalize_confusion(report.confusion)
-    labels = [c.label for c in report.class_order]
-    lines = ["true\\pred," + ",".join(labels)]
-    for label, row in zip(labels, normalized):
-        lines.append(label + "," + ",".join(repr(float(v)) for v in row))
+        lines += [f"weighted\t{w_p:.4f}\t{w_r:.4f}\t{report.weighted_f1:.4f}\t{total}",
+                  f"# accuracy\t{report.accuracy:.4f}"]
+    elif fmt == "confusion":
+        labels = [c.label for c in report.class_order]
+        lines = ["true\\pred," + ",".join(labels)]
+        lines += [label + "," + ",".join(repr(float(v)) for v in row)
+                  for label, row in zip(labels, normalize_confusion(report.confusion))]
+    else:
+        raise InputError(f"unknown report format {fmt!r}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

@@ -236,7 +236,8 @@ def default_ruleset() -> Ruleset:
 
 
 def match_rules(ruleset: Ruleset, text: str) -> tuple[LabelRule, ...]:
-    """All rules matching anywhere in text, in priority order.
+    """All rules matching anywhere in text, in priority order: the one
+    matcher of ``label_documents`` and of ``matched_words``.
 
     On ASCII text only the rules with a key in the text run, a folded key
     looked up in the lowercased text: on ASCII text and literals,
@@ -244,38 +245,31 @@ def match_rules(ruleset: Ruleset, text: str) -> tuple[LabelRule, ...]:
     rule, since ``re``'s case folding matches, for example, ``hİv``
     against ``(?i)hiv``. The result is that of searching every rule's
     pattern."""
-    found = _first_matches(ruleset, text)
-    # most texts match no rule; this keeps that case as fast as it was
-    return tuple(rule for rule, _ in found) if found else ()
-
-
-def _first_matches(ruleset: Ruleset, text: str) -> list[tuple[LabelRule, re.Match]]:
-    """The rules of `match_rules`, each with its first match in text."""
     if text.isascii():
         lowered = text.lower()
         candidates = [i for i, key, folded in ruleset.keys
                       if key in (lowered if folded else text)]
+        # most texts hold no key; they return here, before any search
         if not candidates:
-            return []
+            return ()
     else:
         candidates = range(len(ruleset.rules))
-    return [(ruleset.rules[i], match) for i in dict.fromkeys(candidates)
-            if (match := ruleset.compiled[i].search(text))]
+    return tuple(ruleset.rules[i] for i in dict.fromkeys(candidates)
+                 if ruleset.compiled[i].search(text))
 
 
 _WORD_BEFORE, _WORD_AFTER = re.compile(r"\w*\Z"), re.compile(r"\w*")
 
 
 def matched_words(ruleset: Ruleset, texts: Iterable[str]) -> set[str]:
-    """Every match of every rule in the texts, widened to the word
-    characters on both sides: what ``--mask-keywords`` keeps out of the
-    vocabulary."""
+    """Every match in the texts of every rule that ``match_rules`` finds
+    in them, widened to the word characters on both sides: what
+    ``--mask-keywords`` keeps out of the vocabulary."""
+    patterns = dict(zip(ruleset.rules, ruleset.compiled))
     words: set[str] = set()
     for text in texts:
-        for _, first in _first_matches(ruleset, text):
-            # a search from the first match still sees the text before it
-            # (`^`, lookbehind, `\b`), so it finds the matches finditer does
-            for m in first.re.finditer(text, first.start()):
+        for rule in match_rules(ruleset, text):
+            for m in patterns[rule].finditer(text):
                 # no run of word characters crosses a space
                 start = _WORD_BEFORE.search(
                     text, text.rfind(" ", 0, m.start()) + 1, m.start()).start()
@@ -324,10 +318,11 @@ class LabeledExample:
 
 
 def sample_negatives(
-    pool: Iterable[NormalizedDocument], n: int, seed: int
+    pool: Sequence[NormalizedDocument], n: int, seed: int
 ) -> list[LabeledExample]:
-    """Uniform reservoir sample of n documents of a pool already known to
-    match no rule, labeled NON_EPIDEMIC.
+    """Uniform sample of n documents of a pool already known to match no
+    rule, labeled NON_EPIDEMIC: the first n, then each later one, at index
+    i, replaces a random one with chance n / (i + 1) (reservoir sampling).
 
     Deterministic given (pool order, seed). Raises
     InsufficientNegativesError reporting the shortfall when the pool
@@ -335,19 +330,13 @@ def sample_negatives(
     """
     if n < 0:
         raise ConfigError(f"negative sample size {n}")
+    if len(pool) < n:
+        raise InsufficientNegativesError(n, len(pool))
     rng = random.Random(seed)
-    reservoir: list[NormalizedDocument] = []
-    qualifying = 0
-    for doc in pool:
-        if qualifying < n:
-            reservoir.append(doc)
-        else:
-            j = rng.randrange(qualifying + 1)
-            if j < n:
-                reservoir[j] = doc
-        qualifying += 1
-    if qualifying < n:
-        raise InsufficientNegativesError(n, qualifying)
+    reservoir = list(pool[:n])
+    for i in range(n, len(pool)):
+        if (j := rng.randrange(i + 1)) < n:
+            reservoir[j] = pool[i]
     return [
         LabeledExample(id=d.id, text=d.text, label=EpidemicClass.NON_EPIDEMIC)
         for d in reservoir

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import evaluation, features, models
-from .config import PipelineConfig, config_hash, derive_seed
+from .config import (DATASET_FILE, MANIFEST_FILE, MODEL_FILE, REPORT_FILES,
+                     TFIDF_FILE, PipelineConfig, config_hash, derive_seed)
 from .corpus import ingest_files
 from .errors import ConfigError, DataError, StratificationError, stage
 from .labeling import (
@@ -43,7 +44,7 @@ class RunResult:
 
     @property
     def dataset_path(self) -> Path:
-        return self.out_dir / "dataset.tsv"
+        return self.out_dir / DATASET_FILE
 
 
 def split_dataset(examples, ratio: float, master_seed: int):
@@ -88,7 +89,7 @@ def fit_features(texts, mask: Ruleset | None, ratio: float, master_seed: int,
     masked = () if mask is None else {
         token for word in matched_words(mask, texts) for token in features.tokenize(word)}
     tfidf, X_train = features.fit_transform(texts, masked)
-    features.save_tfidf(tfidf, out_dir / "tfidf.json",
+    features.save_tfidf(tfidf, out_dir / TFIDF_FILE,
                         features.split_record(texts, ratio, master_seed))
     return tfidf, X_train
 
@@ -109,22 +110,20 @@ def train_model(kind: str, X_train, y_train, master_seed: int,
         model = models.train_linear_svm(X_train, y_train)
     else:
         raise ConfigError(f"unknown model kind {kind!r}")
-    models.save_model(model, out_dir / f"model-{kind}.json", features.idf_checksum(tfidf))
+    models.save_model(model, out_dir / MODEL_FILE.format(kind=kind),
+                      features.idf_checksum(tfidf))
     return model
 
 
 def evaluate(model, X_val, y_val, out_dir: Path) -> evaluation.EvalReport:
     """Score the model on the validation rows over its class order and
-    write report-<kind>.tsv, report-<kind>.json and confusion-<kind>.csv
-    into out_dir, the kind being the model's."""
+    write the report in each format of REPORT_FILES into out_dir, the kind
+    being the model's."""
     report = evaluation.build_report(
         model.kind, y_val, models.predict(model, X_val), model.class_order)
-    (out_dir / f"report-{model.kind}.tsv").write_bytes(
-        evaluation.render_report(report, "tsv"))
-    (out_dir / f"report-{model.kind}.json").write_bytes(
-        evaluation.render_report(report, "json"))
-    (out_dir / f"confusion-{model.kind}.csv").write_bytes(
-        evaluation.render_confusion_csv(report))
+    for fmt, name in REPORT_FILES.items():
+        (out_dir / name.format(kind=model.kind)).write_bytes(
+            evaluation.render_report(report, fmt))
     return report
 
 
@@ -157,7 +156,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
             docs, ruleset, config.included_classes, config.policy, seeds["negatives"])
     del docs  # the dataset keeps the texts it needs; free the rest before training
     with _timed("balance", timings):
-        write_dataset_tsv(dataset, out_dir / "dataset.tsv")
+        write_dataset_tsv(dataset, out_dir / DATASET_FILE)
     with stage("split"):
         train, validation = split_dataset(dataset.examples, config.ratio, seed)
     with _timed("features", timings):
@@ -199,14 +198,14 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
                      for kind, r in reports.items()},
         },
         "artifacts": {
-            "dataset": "dataset.tsv", "tfidf": "tfidf.json",
-            **{f"{name}-{kind}": f"{name}-{kind}.json"
-               for kind in reports for name in ("model", "report")},
+            "dataset": DATASET_FILE, "tfidf": TFIDF_FILE,
+            **{f"{key}-{kind}": name.format(kind=kind) for kind in reports
+               for key, name in (("model", MODEL_FILE), ("report", REPORT_FILES["json"]))},
         },
         "timings": timings,
         "threads": config.threads,
     }
     with stage("manifest"):
-        (out_dir / "manifest.json").write_text(
+        (out_dir / MANIFEST_FILE).write_text(
             json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
     return RunResult(manifest, out_dir, reports)

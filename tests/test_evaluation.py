@@ -6,13 +6,13 @@ from hypothesis import given, strategies as st
 
 from episilver.errors import InputError
 from episilver.evaluation import (
+    ConfusionMatrix,
     accuracy,
     build_report,
     class_prf,
     confusion_matrix,
     f1_score,
     normalize_confusion,
-    render_confusion_csv,
     render_report,
     report_from_json,
     weighted_f1,
@@ -107,6 +107,8 @@ class TestAggregates:
         assert accuracy(perfect) == 1.0
         wrong = confusion_matrix([A, B], [B, A], ORDER2)
         assert accuracy(wrong) == 0.0
+        with pytest.raises(InputError, match="empty confusion matrix"):
+            accuracy(ConfusionMatrix(((0, 0), (0, 0)), ORDER2))
 
 
 class TestNormalizeConfusion:
@@ -150,7 +152,7 @@ class TestRenderReport:
             render_report(self._report(), "xml")
 
     def test_confusion_csv(self):
-        lines = render_confusion_csv(self._report()).decode().splitlines()
+        lines = render_report(self._report(), "confusion").decode().splitlines()
         assert lines[0] == "true\\pred,cholera,ebola"
         first = [float(x) for x in lines[1].split(",")[1:]]
         assert first == [0.5, 0.5]

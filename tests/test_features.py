@@ -357,13 +357,13 @@ _WORD_BEFORE, _WORD_AFTER = re.compile(r"\w*\Z"), re.compile(r"\w*")
 
 
 def two_search_words(texts, ruleset):
-    """The mask pass as match_rules, then finditer from the start of the
-    text for each rule it reports."""
+    """The mask pass without the key gate: a search of every rule's
+    pattern, then finditer from the start of the text for each that
+    matches."""
     words = set()
-    patterns = dict(zip(ruleset.rules, ruleset.compiled))
     for text in texts:
-        for rule in labeling.match_rules(ruleset, text):
-            for m in patterns[rule].finditer(text):
+        for rx in (rx for rx in ruleset.compiled if rx.search(text)):
+            for m in rx.finditer(text):
                 start = _WORD_BEFORE.search(
                     text, text.rfind(" ", 0, m.start()) + 1, m.start()).start()
                 end = _WORD_AFTER.match(text, m.end()).end()
@@ -404,7 +404,7 @@ _MASK_TEXTS = st.lists(st.sampled_from(
 @example(texts=["Aids AIDS", "xfluab fluab"],
          ruleset=labeling.parse_ruleset_text("\n".join(_CUSTOM_RULE_LINES[5::2])))
 def test_mask_pass_masks_what_two_searches_mask(texts, ruleset):
-    """The mask pass searches each rule on from its first match; the words
-    it finds, and so the tokens it masks, are those of a second search from
-    the start of the text."""
+    """The mask pass runs finditer from the start of the text for each rule
+    that match_rules finds; the words it finds, and so the tokens it masks,
+    are those of two searches of every rule's pattern, with no key gate."""
     assert labeling.matched_words(ruleset, texts) == two_search_words(texts, ruleset)

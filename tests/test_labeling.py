@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import re
 
 import pytest
@@ -343,6 +344,25 @@ class TestSampleNegatives:
     def test_zero_sample(self):
         assert sample_negatives(_doc_stream(["a doc"]), 0, 1) == []
 
+    def test_negative_sample_size_rejected(self):
+        with pytest.raises(ConfigError, match="negative sample size -1"):
+            sample_negatives(_doc_stream(["a doc"]), -1, 1)
+
+    @given(size=st.integers(0, 60), n=st.integers(0, 60), seed=st.integers(0, 2**32))
+    def test_draws_as_a_streaming_reservoir(self, size, n, seed):
+        """The sample is the one a reservoir streaming over the pool keeps:
+        one randrange(i + 1) for each document after the first n."""
+        n = min(n, size)
+        docs = _doc_stream([f"plain {i}" for i in range(size)])
+        rng, reservoir = random.Random(seed), []
+        for i, doc in enumerate(docs):
+            if i < n:
+                reservoir.append(doc)
+            elif (j := rng.randrange(i + 1)) < n:
+                reservoir[j] = doc
+        assert [ex.id for ex in sample_negatives(docs, n, seed)] == \
+            [doc.id for doc in reservoir]
+
     def test_insufficiency_reports_shortfall(self):
         docs = _doc_stream([f"plain {i}" for i in range(5)])
         with pytest.raises(InsufficientNegativesError) as exc:
@@ -424,6 +444,10 @@ class TestSilverDataset:
         with pytest.raises(BalanceError):
             SilverDataset.from_counts(counts)
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(DataError, match="negative count -1 for cholera"):
+            SilverDataset.from_counts({EC.CHOLERA: -1, EC.NON_EPIDEMIC: -1})
+
     def test_build_and_counts(self):
         positives = {
             EC.CHOLERA: _examples(EC.CHOLERA, ["c one", "c two"]),
@@ -457,6 +481,9 @@ class TestSilverDataset:
         bad = {EC.CHOLERA: _examples(EC.MERS, ["m"])}
         with pytest.raises(DataError):
             build_silver_dataset(bad, _examples(EC.NON_EPIDEMIC, ["n"]))
+        with pytest.raises(DataError, match="negative example mers0 labeled mers"):
+            build_silver_dataset({EC.CHOLERA: _examples(EC.CHOLERA, ["c"])},
+                                 _examples(EC.MERS, ["m"]))
         with pytest.raises(ConfigError):
             build_silver_dataset(
                 {EC.NON_EPIDEMIC: _examples(EC.NON_EPIDEMIC, ["n"])},

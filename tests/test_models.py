@@ -16,6 +16,7 @@ from episilver.errors import (
     ConfigError,
     DataError,
     DegenerateLabelsError,
+    DivergenceError,
     ShapeError,
     StratificationError,
 )
@@ -23,10 +24,13 @@ from episilver.features import CsrArrays
 from episilver.labeling import EpidemicClass as EC
 from episilver.labeling import LabeledExample
 from episilver.models import (
+    MAX_BACKTRACKS,
+    MAX_CG_STEPS,
     LinearHyperparams,
     LinearModel,
     TreeHyperparams,
     _linear_scores,
+    _newton,
     entropy_bits,
     load_model,
     logistic_loss_grad,
@@ -388,6 +392,56 @@ class TestConvergence:
         assert loaded.cg_products == model.cg_products > 0
         assert loaded.loss_histories == model.loss_histories
         assert all(2 <= len(h) <= 4 for h in loaded.loss_histories)
+
+
+class TestNewtonSafeguards:
+    """`_newton` on small synthetic objectives that reach the safeguards
+    no training run in these tests reaches: each returns (loss, gradient,
+    v -> Hv)."""
+
+    @pytest.mark.parametrize("loss", [math.nan, math.inf])
+    def test_non_finite_initial_loss_diverges(self, loss):
+        with pytest.raises(DivergenceError, match="non-finite initial loss"):
+            _newton(lambda theta: (loss, theta, lambda v: v), np.ones(2), 10, 1e-8)
+
+    def test_negative_curvature_falls_back_to_the_gradient(self):
+        """On p'Hp <= 0 CG stops at d = 0 after one product; d is no descent
+        direction, so the step is -g, which reaches the minimum of |theta|^2/2."""
+        def objective(theta):
+            return 0.5 * float(theta @ theta), theta.copy(), lambda v: -v
+        theta, history, gnorm, products = _newton(
+            objective, np.array([3.0, -4.0]), 10, 1e-8)
+        assert theta.tolist() == [0.0, 0.0]
+        assert history == [12.5, 0.0]
+        assert (gnorm, products) == (0.0, 1)
+
+    def test_no_armijo_step_stops(self):
+        """A gradient that is not the loss's: no step along -g lowers the
+        loss of 0 at theta = 0, so every backtrack fails and theta stays."""
+        evaluations = []
+
+        def objective(theta):
+            evaluations.append(theta.copy())
+            return 0.5 * float(theta @ theta), np.ones_like(theta), lambda v: v
+        theta, history, gnorm, _ = _newton(objective, np.zeros(2), 10, 1e-8)
+        assert theta.tolist() == [0.0, 0.0]
+        assert history == [0.0]
+        assert gnorm == pytest.approx(math.sqrt(2))
+        assert len(evaluations) == 1 + MAX_BACKTRACKS
+
+    def test_conjugate_gradient_stops_at_its_cap(self):
+        """An ill-conditioned diagonal quadratic with more distinct
+        eigenvalues than MAX_CG_STEPS: CG takes every product it may, and
+        the step still lowers the loss."""
+        diagonal = np.logspace(-8, 0, 3 * MAX_CG_STEPS)
+
+        def objective(theta):
+            return (0.5 * float(theta @ (diagonal * theta)), diagonal * theta,
+                    lambda v: diagonal * v)
+        _, history, _, products = _newton(
+            objective, np.full(diagonal.size, 1e-6), 1, 0.0)
+        assert products == MAX_CG_STEPS
+        assert len(history) == 2 and history[1] < history[0]
 
 
 # Trains both linear models on a problem whose solver vectors have more

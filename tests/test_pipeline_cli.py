@@ -302,6 +302,23 @@ class TestOneTrainingPath:
                 assert (tmp_path / name).read_bytes() == \
                     (default_run / name).read_bytes(), name
 
+    def test_staged_commands_share_one_directory(self, default_run, tmp_path):
+        """`train` and `eval` read the dataset, the feature model and the
+        model files from the directory they write into."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "dataset.tsv").write_bytes((default_run / "dataset.tsv").read_bytes())
+        dataset = str(out / "dataset.tsv")
+        assert main(["train", "--dataset", dataset, "--out", str(out),
+                     "--seed", "99"]) == 0
+        for kind in ("logistic", "svm", "tree"):
+            assert main(["eval", "--dataset", dataset,
+                         "--tfidf", str(out / "tfidf.json"),
+                         "--model-file", str(out / f"model-{kind}.json"),
+                         "--out", str(out)]) == 0
+        for name in RUN_DIGESTS:
+            assert (out / name).read_bytes() == (default_run / name).read_bytes(), name
+
     def test_eval_splits_as_tfidf_json_records(self, small_corpus, tmp_path):
         """`eval` takes no split flags: after `train --seed 7 --ratio 0.6`
         it scores the rows that `run` with those flags holds out."""
@@ -504,6 +521,10 @@ class TestPipelineConfig:
             PipelineConfig(inputs=("x",), out_dir=str(tmp_path),
                            included_classes=(EC.NON_EPIDEMIC,))
 
+    def test_no_inputs(self, tmp_path):
+        with pytest.raises(ConfigError, match="no input paths"):
+            PipelineConfig(inputs=(), out_dir=str(tmp_path))
+
     def test_colliding_paths(self):
         with pytest.raises(ConfigError):
             PipelineConfig(inputs=("same",), out_dir="same")
@@ -651,6 +672,47 @@ class TestCli:
         assert (record["stage"], record["error"]) == ("label", "ConfigError")
         assert f"{rules} and {rules} name the same file" in record["message"]
         assert rules.read_bytes() == rule
+
+    @pytest.mark.parametrize("command, flag, name", [
+        ("run", "--input", "manifest.json"),
+        ("run", "--input", "dataset.tsv"),
+        ("run", "--ruleset", "model-tree.json"),
+        ("train", "--dataset", "tfidf.json"),
+        ("train", "--ruleset", "tfidf.json"),
+        ("train", "--ruleset", "model-svm.json"),
+        ("eval", "--dataset", "confusion-logistic.csv"),
+        ("eval", "--tfidf", "report-logistic.tsv"),
+        ("eval", "--model-file", "report-logistic.json"),
+    ])
+    def test_input_named_like_an_output_exits_2(
+            self, small_corpus, default_run, tmp_path, capsys, command, flag, name):
+        """An input that lies in --out under the name of a file that the
+        command writes there is refused before anything is written."""
+        out = tmp_path / "out"
+        out.mkdir()
+        rules = Path(labeling.__file__).with_name(labeling.DEFAULT_RULES_RESOURCE)
+        flags = {
+            "run": {"--input": small_corpus, "--ruleset": str(rules),
+                    "--threads": "1"},
+            "train": {"--dataset": str(default_run / "dataset.tsv"),
+                      "--ruleset": str(rules), "--mask-keywords": None},
+            "eval": {"--dataset": str(default_run / "dataset.tsv"),
+                     "--tfidf": str(default_run / "tfidf.json"),
+                     "--model-file": str(default_run / "model-logistic.json")},
+        }[command]
+        original = Path(flags[flag]).read_bytes()
+        (out / name).write_bytes(original)
+        flags[flag] = str(out / name)
+        argv = [command, "--out", str(out)]
+        for key, value in flags.items():
+            argv += [key] if value is None else [key, value]
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert (record["stage"], record["error"]) == (command, "ConfigError")
+        assert f"{out / name} and {out / name} name the same file" in record["message"]
+        assert sorted(p.name for p in out.iterdir()) == [name]
+        assert (out / name).read_bytes() == original
 
     def test_same_input_twice_exits_2(self, small_corpus, tmp_path, capsys):
         """Two inputs that name one file: the message names both paths and
@@ -1080,6 +1142,7 @@ MODEL_DAMAGE = {
         threshold="0.5"),
     "tree-feature-outside": lambda doc: _as_tree(doc)["nodes"][0].update(
         feature=doc["dim"]),
+    "tree-no-nodes": lambda doc: _as_tree(doc).update(nodes=[]),
     # a record that contradicts itself: n_iter and converged are what the
     # histories and the final gradient norm give
     "n_iter-plus-one": lambda doc: doc.update(n_iter=doc["n_iter"] + 1),
