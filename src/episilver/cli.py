@@ -62,9 +62,12 @@ def _parse_counts(spec: str) -> dict[EpidemicClass, int]:
             continue
         try:
             name, value = item.split("=")
-            counts[EpidemicClass.from_label(name)] = int(value)
+            count = int(value)
         except ValueError:
             raise ConfigError(f"bad count entry {item!r}; expected class=count") from None
+        if (cls := EpidemicClass.from_label(name)) in counts:
+            raise ConfigError(f"class {cls.label} is named twice in the counts")
+        counts[cls] = count
     if not counts:
         raise ConfigError("empty class counts")
     return counts
@@ -151,7 +154,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     y_train = [ex.label for ex in train]
     for kind in kinds:
         train_model(kind, X_train, y_train, args.seed, tfidf, out_dir)
-        print(f"trained {kind} on {len(y_train)} examples -> model-{kind}.json")
+        print(f"trained {kind} on {len(y_train)} examples -> "
+              f"{MODEL_FILE.format(kind=kind)}")
     return 0
 
 

@@ -14,7 +14,7 @@ import os
 from dataclasses import asdict, dataclass
 
 from .errors import ConfigError
-from .labeling import EpidemicClass, check_included
+from .labeling import EpidemicClass, check_settings
 
 DEFAULT_CLASSES = (
     EpidemicClass.CHOLERA,
@@ -52,7 +52,7 @@ class PipelineConfig:
             raise ConfigError("no input paths")
         if not 0.0 < self.ratio < 1.0:
             raise ConfigError(f"ratio {self.ratio} outside (0, 1)")
-        check_included(self.included_classes)
+        check_settings(self.included_classes, self.policy)
         for kind in self.model_kinds:
             if kind not in MODEL_KINDS:
                 raise ConfigError(f"unknown model kind {kind!r}")

@@ -343,14 +343,18 @@ def sample_negatives(
     ]
 
 
-def check_included(included: Sequence[EpidemicClass]) -> None:
-    """ConfigError unless ``included`` names at least one class and only
-    epidemic ones: the non-epidemic class is always implied."""
+def check_settings(included: Sequence[EpidemicClass], policy: str) -> None:
+    """ConfigError unless ``included`` names at least one class, only
+    epidemic ones (the non-epidemic class is always implied) and none
+    twice, and ``policy`` is one of MULTI_MATCH_POLICIES."""
     if not included:
         raise ConfigError("included class list is empty")
     if EpidemicClass.NON_EPIDEMIC in included:
         raise ConfigError("the non-epidemic class is always implied; "
                           "include only epidemic classes")
+    if len(set(included)) != len(included):
+        raise ConfigError(f"a class is named twice in {[c.label for c in included]}")
+    _check_policy(policy)
 
 
 def label_documents(
@@ -367,12 +371,11 @@ def label_documents(
 
     Also returns the counts ``matched`` (per resolved class),
     ``ambiguous_excluded`` and ``unmatched``; they sum to len(docs).
-    ``included`` (``check_included``) and ``policy`` are checked before
+    ``included`` and ``policy`` are checked (``check_settings``) before
     any document is read.
     """
     included = tuple(included)
-    check_included(included)
-    _check_policy(policy)
+    check_settings(included, policy)
     positives: dict[EpidemicClass, list[LabeledExample]] = {c: [] for c in included}
     pool: list[NormalizedDocument] = []
     matched: dict[str, int] = {}
@@ -398,13 +401,25 @@ def label_documents(
 class SilverDataset:
     """Deduplicated labeled examples with per-class counts.
 
-    Invariant: the NON_EPIDEMIC count equals the sum of the epidemic
-    counts. ``from_counts`` builds a counts-only view (empty examples)
-    for accounting at scales where materializing examples is pointless.
+    Invariant, checked at construction: no count is negative, and the
+    NON_EPIDEMIC count equals the sum of the epidemic counts.
+    ``from_counts`` builds a counts-only view (empty examples) for
+    accounting at scales where materializing examples is pointless.
     """
 
     examples: tuple[LabeledExample, ...]
     class_counts: dict[EpidemicClass, int]
+
+    def __post_init__(self):
+        for c, n in self.class_counts.items():
+            if n < 0:
+                raise DataError(f"negative count {n} for {c.label}")
+        n_negative = self.class_counts.get(EpidemicClass.NON_EPIDEMIC, 0)
+        if (n_positive := self.total - n_negative) != n_negative:
+            raise BalanceError(
+                f"{n_negative} negatives != {n_positive} positives; the negative "
+                "class must exactly balance the sum of the epidemic classes"
+            )
 
     @property
     def total(self) -> int:
@@ -412,22 +427,7 @@ class SilverDataset:
 
     @classmethod
     def from_counts(cls, counts: Mapping[EpidemicClass, int]) -> "SilverDataset":
-        for c, n in counts.items():
-            if n < 0:
-                raise DataError(f"negative count {n} for {c.label}")
-        _check_balance(
-            counts.get(EpidemicClass.NON_EPIDEMIC, 0),
-            sum(n for c, n in counts.items() if c is not EpidemicClass.NON_EPIDEMIC),
-        )
         return cls(examples=(), class_counts=dict(counts))
-
-
-def _check_balance(n_negative: int, n_positive: int) -> None:
-    if n_negative != n_positive:
-        raise BalanceError(
-            f"{n_negative} negatives != {n_positive} positives; the negative "
-            "class must exactly balance the sum of the epidemic classes"
-        )
 
 
 def build_silver_dataset(
@@ -436,8 +436,8 @@ def build_silver_dataset(
 ) -> SilverDataset:
     """Assemble and validate a balanced silver-standard dataset.
 
-    Rejects unbalanced counts, mislabeled examples and duplicate texts
-    (including duplicates across classes).
+    Rejects mislabeled examples, then unbalanced counts, then duplicate
+    texts (including duplicates across classes).
     """
     for cls, examples in positives.items():
         if cls is EpidemicClass.NON_EPIDEMIC:
@@ -450,8 +450,6 @@ def build_silver_dataset(
     for ex in negatives:
         if ex.label is not EpidemicClass.NON_EPIDEMIC:
             raise DataError(f"negative example {ex.id} labeled {ex.label.label}")
-    n_positive = sum(len(v) for v in positives.values())
-    _check_balance(len(negatives), n_positive)
 
     ordered: list[LabeledExample] = []
     counts: dict[EpidemicClass, int] = {}
@@ -460,6 +458,7 @@ def build_silver_dataset(
         counts[cls] = len(positives[cls])
     ordered.extend(negatives)
     counts[EpidemicClass.NON_EPIDEMIC] = len(negatives)
+    dataset = SilverDataset(examples=tuple(ordered), class_counts=counts)
 
     seen: set[str] = set()
     for ex in ordered:
@@ -468,7 +467,7 @@ def build_silver_dataset(
                 f"duplicate text in dataset (example {ex.id}): {ex.text[:60]!r}"
             )
         seen.add(ex.text)
-    return SilverDataset(examples=tuple(ordered), class_counts=counts)
+    return dataset
 
 
 DATASET_HEADER = "id\tlabel\ttext"

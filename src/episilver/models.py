@@ -147,7 +147,8 @@ def _newton(
     Backtracking from t = 1 accepts the first step with
     f(theta + t d) <= f(theta) + c t g'd, so the recorded loss history is
     non-increasing by construction. Stops at max_iter Newton steps, at
-    gradient norm <= tol, or when no acceptable step exists. Returns
+    gradient norm <= tol, or when no acceptable step exists: none in
+    MAX_BACKTRACKS trials, or a trial that rounds to theta. Returns
     (theta, loss history, final gradient norm, Hessian-vector products);
     the history holds one loss more than the Newton steps.
     """
@@ -166,14 +167,17 @@ def _newton(
         slope = _dot(grad, direction)
         if not slope < 0.0:
             direction, slope = -grad, -gnorm * gnorm
-        step = 1.0
+        step, accepted = 1.0, False
         for _ in range(MAX_BACKTRACKS):
             trial = theta + step * direction
+            if np.array_equal(trial, theta):  # the step no longer moves theta
+                break
             trial_loss, trial_grad, trial_hess = objective(trial)
-            if math.isfinite(trial_loss) and trial_loss <= loss + ARMIJO_C * step * slope:
+            if accepted := (math.isfinite(trial_loss)
+                            and trial_loss <= loss + ARMIJO_C * step * slope):
                 break
             step *= 0.5
-        else:  # no acceptable step
+        if not accepted:  # no acceptable step
             break
         theta, loss, grad, hess = trial, trial_loss, trial_grad, trial_hess
         gnorm = math.sqrt(_dot(grad, grad))

@@ -448,6 +448,13 @@ class TestSilverDataset:
         with pytest.raises(DataError, match="negative count -1 for cholera"):
             SilverDataset.from_counts({EC.CHOLERA: -1, EC.NON_EPIDEMIC: -1})
 
+    def test_direct_construction_checks_counts(self):
+        """Every construction keeps the invariant, not only ``from_counts``."""
+        with pytest.raises(BalanceError, match="1 negatives != 2 positives"):
+            SilverDataset((), {EC.CHOLERA: 2, EC.NON_EPIDEMIC: 1})
+        with pytest.raises(DataError, match="negative count -1 for cholera"):
+            SilverDataset((), {EC.CHOLERA: -1, EC.NON_EPIDEMIC: -1})
+
     def test_build_and_counts(self):
         positives = {
             EC.CHOLERA: _examples(EC.CHOLERA, ["c one", "c two"]),
@@ -467,6 +474,9 @@ class TestSilverDataset:
         positives = {EC.CHOLERA: _examples(EC.CHOLERA, ["a", "b"])}
         with pytest.raises(BalanceError):
             build_silver_dataset(positives, _examples(EC.NON_EPIDEMIC, ["n"]))
+        # the balance is checked before the duplicate scan
+        with pytest.raises(BalanceError):
+            build_silver_dataset(positives, _examples(EC.NON_EPIDEMIC, ["a"]))
 
     def test_duplicate_text_across_classes_rejected(self):
         positives = {

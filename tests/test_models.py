@@ -429,6 +429,20 @@ class TestNewtonSafeguards:
         assert gnorm == pytest.approx(math.sqrt(2))
         assert len(evaluations) == 1 + MAX_BACKTRACKS
 
+    def test_a_step_that_does_not_move_theta_stops(self):
+        """A gradient of the wrong sign: every step along d = theta raises
+        the loss until t d rounds away, and the trial equal to theta ends
+        the search instead of passing the Armijo test with an equal loss."""
+        evaluations = []
+
+        def objective(theta):
+            evaluations.append(theta.copy())
+            return 0.5 * float(theta @ theta), -theta, lambda v: v
+        theta, history, _, _ = _newton(objective, np.array([3.0, -4.0]), 10, 1e-8)
+        assert theta.tolist() == [3.0, -4.0]
+        assert history == [12.5]
+        assert len(evaluations) == 55
+
     def test_conjugate_gradient_stops_at_its_cap(self):
         """An ill-conditioned diagonal quadratic with more distinct
         eigenvalues than MAX_CG_STEPS: CG takes every product it may, and

@@ -529,6 +529,10 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(inputs=("same",), out_dir="same")
 
+    def test_unknown_policy(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown multi-match policy 'bogus'"):
+            PipelineConfig(inputs=("x",), out_dir=str(tmp_path), policy="bogus")
+
     def test_unknown_model_kind(self, tmp_path):
         with pytest.raises(ConfigError):
             PipelineConfig(inputs=("x",), out_dir=str(tmp_path),
@@ -594,11 +598,17 @@ class TestCli:
                      "synth", id="count-without-value"),
         pytest.param(["synth", "--out", "x", "--counts", ","],
                      "synth", id="no-counts"),
+        pytest.param(["synth", "--out", "x", "--counts", "cholera=5,cholera=7"],
+                     "synth", id="count-twice"),
         # refused before the missing input is opened, which would exit 3
         pytest.param(["ingest", "--input", "missing.jsonl", "--out", "y",
                       "--threads", "0"], "ingest", id="ingest-no-threads"),
         pytest.param(["run", "--input", "x", "--out", "y", "--threads", "0"],
                      "run", id="run-no-threads"),
+        pytest.param(["run", "--input", "missing.jsonl", "--out", "y",
+                      "--classes", "cholera,cholera"], "run", id="run-class-twice"),
+        pytest.param(["label", "--input", "missing.tsv", "--out", "y",
+                      "--classes", "cholera,cholera"], "label", id="label-class-twice"),
     ])
     def test_usage_error_exits_2_with_one_error_record(self, capsys, argv, stage):
         assert main(argv) == 2
